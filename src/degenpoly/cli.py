@@ -28,7 +28,7 @@ from .families import (
     family,
     kernel_series,
 )
-from .identities import IdentityEngine, IdentityId
+from .identities import IdentityEngine, IdentityId, summarize
 from .multipoly import MPoly
 from .numeric import format_gauss
 
@@ -177,18 +177,7 @@ def _cmd_verify(args) -> int:
     reports = []
     for tag in tags:
         reports.extend(engine.verify(tag))
-    counts = {"holds": 0, "holds_variant": 0, "fails": 0}
-    for rep in reports:
-        counts[rep.verdict] += 1
-    summary = {
-        "checks": len(reports),
-        "holds": counts["holds"],
-        "holds_variant": counts["holds_variant"],
-        "fails": counts["fails"],
-        "n_max": args.n_max,
-        "order": order,
-        "ok": counts["fails"] == 0,
-    }
+    summary = summarize(reports, n_max=args.n_max, order=order)
     if args.format == "json":
         for rep in reports:
             print(_json_dumps(rep.to_json_dict()))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -106,15 +105,22 @@ CITATIONS: Dict[IdentityId, str] = {
 }
 
 
-@dataclass
 class IdentityReport:
     """Verdict for one identity checked at one degree."""
 
-    id: IdentityId
-    n: int
-    verdict: str  # "holds" | "fails" | "holds_variant"
-    lhs_minus_rhs: MPoly = field(default_factory=MPoly.zero)
-    variant_note: str = ""
+    def __init__(
+        self,
+        id: IdentityId,
+        n: int,
+        verdict: str,  # "holds" | "fails" | "holds_variant"
+        lhs_minus_rhs: MPoly = MPoly.zero(),
+        variant_note: str = "",
+    ):
+        self.id = id
+        self.n = n
+        self.verdict = verdict
+        self.lhs_minus_rhs = lhs_minus_rhs
+        self.variant_note = variant_note
 
     def to_json_dict(self) -> dict:
         out = {
@@ -541,7 +547,8 @@ class IdentityEngine:
         return reports, summarize(reports)
 
 
-def summarize(reports: Sequence[IdentityReport]) -> Dict[str, object]:
+def summarize(reports: Sequence[IdentityReport], **context: object) -> Dict[str, object]:
+    """Verdict counts; ``context`` (such as n_max and order) is added as is."""
     counts = {"holds": 0, "holds_variant": 0, "fails": 0}
     for rep in reports:
         counts[rep.verdict] += 1
@@ -551,6 +558,7 @@ def summarize(reports: Sequence[IdentityReport]) -> Dict[str, object]:
         "holds_variant": counts["holds_variant"],
         "fails": counts["fails"],
         "ok": counts["fails"] == 0,
+        **context,
     }
 
 

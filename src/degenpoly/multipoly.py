@@ -1,49 +1,110 @@
 """Sparse multivariate polynomials over the Gaussian rationals.
 
 The variable set is fixed: (l, x, y, r), where "l" is the deformation
-parameter.  A polynomial is a map from exponent vectors to nonzero GaussRat
-coefficients; the zero polynomial is the empty map.  The imaginary unit
-lives only in coefficients, never as a variable, so conjugation and
-real/imaginary splitting are well-defined ring operations.
+parameter.  A polynomial maps packed monomial keys to nonzero integer
+numerators over one positive common denominator.  After every operation the
+gcd of the denominator and all numerators is 1, so the form is canonical and
+equality and hashing compare plain dicts and ints.
+
+Key layout (Kronecker substitution): the exponents of l, x, y and r fill
+16-bit fields from the low end and bit 64 is the exponent of i, so a
+monomial product is one integer addition, with i^2 = -1 reduced inside the
+multiply.  The top bit of each field is a guard: exponents below 2**15 add
+without carrying, so an overflowing product is caught exactly (ValueError).
+``GaussRat`` and ``Fraction`` appear only at the edges: the ``terms`` view
+(built on each call), ``coefficient``, ``evaluate``, ``scale``'s factor and
+``to_text``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
+from typing import Dict, Mapping, Tuple, Union
 
-from .numeric import GaussRat, as_gauss, format_gauss, format_rat
+from .numeric import GaussInput, GaussRat, _gauss, as_gauss, format_gauss, format_rat
 
 VARIABLES = ("l", "x", "y", "r")
-_VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
 Exponents = Tuple[int, int, int, int]
 PolyInput = Union["MPoly", GaussRat, Fraction, int]
 
+_W = 16  # bits per exponent field, guard bit included
+_LIMIT = 1 << (_W - 1)  # exponents lie in 0.._LIMIT-1
+_FIELD = (1 << _W) - 1
+_GUARDS = sum(_LIMIT << (_W * j) for j in range(4))
+_I = 1 << (4 * _W)  # the exponent bit of i
 
-def _term_order_key(exps: Exponents):
-    # Graded order, ties broken x-major so text output reads naturally
-    # ("x^2 - 1/2*l*x - y^2").
+
+def _shift(name: str) -> int:
+    if name not in VARIABLES:
+        raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
+    return _W * VARIABLES.index(name)
+
+
+def _pack(exps: Exponents) -> int:
+    if not (isinstance(exps, (tuple, list)) and len(exps) == 4
+            and all(type(e) is int and 0 <= e < _LIMIT for e in exps)):
+        raise ValueError(f"exponent vector must be 4 ints in 0..{_LIMIT - 1}, got {exps!r}")
     el, ex, ey, er = exps
-    return (el + ex + ey + er, ex, el, ey, er)
+    return el | ex << _W | ey << 2 * _W | er << 3 * _W
+
+
+def _unpack(key: int) -> Exponents:
+    return (key & _FIELD, key >> _W & _FIELD, key >> 2 * _W & _FIELD, key >> 3 * _W & _FIELD)
+
+
+def _wrap(nums: Dict[int, int], den: int) -> "MPoly":
+    p = object.__new__(MPoly)
+    p._num, p._den, p._hash = nums, den, None
+    return p
+
+
+def _make(nums: Dict[int, int], den: int) -> "MPoly":
+    """nums/den as an MPoly, with zero terms dropped and the content divided out."""
+    if 0 in nums.values():
+        nums = {k: c for k, c in nums.items() if c}
+    if den != 1 and (g := gcd(den, *nums.values())) != 1:
+        nums = {k: c // g for k, c in nums.items()}
+        den //= g
+    return _wrap(nums, den)
+
+
+def _product(a: "MPoly", b: "MPoly") -> "MPoly":
+    outer, inner = a._num, b._num
+    if len(outer) > len(inner):
+        outer, inner = inner, outer
+    if not outer:
+        return _ZERO
+    # Field j of an OR of keys bounds the exponents in field j, so a product
+    # can overflow only if the two ORs' fields add up to a guard bit.
+    bound = reduce(or_, outer) + reduce(or_, inner)
+    plain = list(inner.items())
+    # Partners of an outer term with i: i*i = -1 clears the i bit and flips the sign.
+    turned = [(k - 2 * _I, -c) if k >= _I else (k, c) for k, c in plain]
+    out: Dict[int, int] = {}
+    get = out.get
+    for k1, c1 in outer.items():
+        for k2, c2 in turned if k1 >= _I else plain:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    if bound & _GUARDS and any(k & _GUARDS for k in out):
+        raise ValueError(f"exponent overflow: a product has an exponent >= {_LIMIT}")
+    return _make(out, a._den * b._den)
 
 
 class MPoly:
     """Immutable sparse polynomial in Q(i)[l, x, y, r]."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_num", "_den", "_hash")
 
-    def __init__(self, terms: Mapping[Exponents, GaussRat] | None = None):
-        clean: Dict[Exponents, GaussRat] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                coeff = as_gauss(coeff)
-                if not coeff.is_zero():
-                    clean[tuple(exps)] = coeff
-        self._terms = clean
-        self._hash = None
-
-    # -- constructors -------------------------------------------------
+    def __new__(cls, terms: Mapping[Exponents, GaussInput] | None = None):
+        coeffs = [(_pack(exps), as_gauss(c)) for exps, c in (terms or {}).items()]
+        den = lcm(*(q.denominator for _, z in coeffs for q in (z.re, z.im)))
+        return _make({key | i: q.numerator * (den // q.denominator)
+                      for key, z in coeffs for i, q in ((0, z.re), (_I, z.im))}, den)
 
     @classmethod
     def zero(cls) -> "MPoly":
@@ -54,66 +115,58 @@ class MPoly:
         return _ONE
 
     @classmethod
-    def constant(cls, value: Union[GaussRat, Fraction, int]) -> "MPoly":
-        return cls({(0, 0, 0, 0): as_gauss(value)})
+    def constant(cls, value: GaussInput) -> "MPoly":
+        return _make({0: value}, 1) if type(value) is int else cls({(0, 0, 0, 0): value})
 
     @classmethod
     def variable(cls, name: str) -> "MPoly":
-        if name not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
-        exps = [0, 0, 0, 0]
-        exps[_VAR_INDEX[name]] = 1
-        return cls({tuple(exps): as_gauss(1)})
+        return _wrap({1 << _shift(name): 1}, 1)
 
     @staticmethod
     def coerce(value: PolyInput) -> "MPoly":
-        if isinstance(value, MPoly):
-            return value
-        return MPoly.constant(value)
-
-    # -- inspection ---------------------------------------------------
+        return value if isinstance(value, MPoly) else MPoly.constant(value)
 
     @property
-    def terms(self) -> Mapping[Exponents, GaussRat]:
-        """The term map; treat as read-only."""
-        return self._terms
+    def terms(self) -> Dict[Exponents, GaussRat]:
+        """{(el, ex, ey, er): GaussRat}, built on each call; i^0 and i^1 keys merge."""
+        parts: Dict[int, list] = {}
+        for k, c in self._num.items():
+            parts.setdefault(k & (_I - 1), [0, 0])[k >> 4 * _W] = c
+        den = self._den
+        return {_unpack(m): _gauss(Fraction(re, den), Fraction(im, den))
+                for m, (re, im) in parts.items()}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def total_degree(self) -> int | None:
         """Max summed exponent vector, or None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(sum(e) for e in self._terms)
+        return max((sum(_unpack(k)) for k in self._num), default=None)
 
     def coefficient(self, exps: Exponents) -> GaussRat:
-        return self._terms.get(tuple(exps), as_gauss(0))
-
-    def is_constant(self) -> bool:
-        return all(e == (0, 0, 0, 0) for e in self._terms)
-
-    def constant_value(self) -> GaussRat:
-        if not self.is_constant():
-            raise ValueError(f"polynomial is not constant: {self}")
-        return self._terms.get((0, 0, 0, 0), as_gauss(0))
-
-    # -- ring arithmetic ----------------------------------------------
+        key, den = _pack(exps), self._den
+        return _gauss(Fraction(self._num.get(key, 0), den),
+                      Fraction(self._num.get(key | _I, 0), den))
 
     def __add__(self, other: PolyInput) -> "MPoly":
-        other = MPoly.coerce(other)
-        merged = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            merged[exps] = merged.get(exps, as_gauss(0)) + coeff
-        return MPoly(merged)
+        big, small = self, MPoly.coerce(other)
+        if len(big._num) < len(small._num):
+            big, small = small, big
+        g = gcd(big._den, small._den)
+        mb, ms = small._den // g, big._den // g
+        out = dict(big._num) if mb == 1 else {k: c * mb for k, c in big._num.items()}
+        get = out.get
+        for k, c in small._num.items():
+            out[k] = get(k, 0) + c * ms
+        return _make(out, big._den * mb)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly({e: -c for e, c in self._terms.items()})
+        return _wrap({k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other: PolyInput) -> "MPoly":
         return self + (-MPoly.coerce(other))
@@ -122,144 +175,110 @@ class MPoly:
         return MPoly.coerce(other) - self
 
     def __mul__(self, other: PolyInput) -> "MPoly":
-        other = MPoly.coerce(other)
-        product: Dict[Exponents, GaussRat] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                acc = product.get(exps)
-                product[exps] = c1 * c2 if acc is None else acc + c1 * c2
-        return MPoly(product)
+        return _product(self, MPoly.coerce(other))
 
     __rmul__ = __mul__
 
-    def scale(self, value: Union[GaussRat, Fraction, int]) -> "MPoly":
-        c = as_gauss(value)
-        return MPoly({e: coeff * c for e, coeff in self._terms.items()})
+    def scale(self, value: GaussInput) -> "MPoly":
+        if type(value) is not int:
+            z = as_gauss(value)
+            if z.im:
+                return _product(self, MPoly.constant(z))
+            value = z.re
+        p = value.numerator
+        return _make({k: c * p for k, c in self._num.items()}, self._den * value.denominator)
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = _ONE
-        base = self
+        result, base = _ONE, self
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n > 1
-            if base_needed:
-                base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
-
-    # -- structure operations -----------------------------------------
 
     def substitute(self, var: str, replacement: PolyInput) -> "MPoly":
         """Image under the ring map sending ``var`` to ``replacement``."""
-        if var not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {var!r}; expected one of {VARIABLES}")
-        idx = _VAR_INDEX[var]
+        shift = _shift(var)
         replacement = MPoly.coerce(replacement)
-        powers: Dict[int, MPoly] = {0: _ONE}
-        result = _ZERO
-        for exps, coeff in self._terms.items():
-            n = exps[idx]
-            if n not in powers:
-                prev = max(k for k in powers if k <= n)
-                acc = powers[prev]
-                for k in range(prev + 1, n + 1):
-                    acc = acc * replacement
-                    powers[k] = acc
-            rest = list(exps)
-            rest[idx] = 0
-            result = result + powers[n] * MPoly({tuple(rest): coeff})
+        groups: Dict[int, Dict[int, int]] = {}
+        for k, c in self._num.items():
+            e = k >> shift & _FIELD
+            groups.setdefault(e, {})[k - (e << shift)] = c
+        result, power, done = _ZERO, _ONE, 0
+        for e in sorted(groups):
+            for _ in range(e - done):
+                power = power * replacement
+            done = e
+            result = result + _make(groups[e], self._den) * power
         return result
-
-    def conjugate_coeffs(self) -> "MPoly":
-        """Conjugate every coefficient (i -> -i), fixing the variables."""
-        return MPoly({e: c.conjugate() for e, c in self._terms.items()})
 
     def split_real_imag(self) -> Tuple["MPoly", "MPoly"]:
         """Return (p_re, p_im) with p = p_re + i*p_im, both real-coefficient."""
-        re_terms: Dict[Exponents, GaussRat] = {}
-        im_terms: Dict[Exponents, GaussRat] = {}
-        for exps, coeff in self._terms.items():
-            if coeff.re:
-                re_terms[exps] = GaussRat(coeff.re)
-            if coeff.im:
-                im_terms[exps] = GaussRat(coeff.im)
-        return MPoly(re_terms), MPoly(im_terms)
+        items = self._num.items()
+        return (_make({k: c for k, c in items if k < _I}, self._den),
+                _make({k - _I: c for k, c in items if k >= _I}, self._den))
 
-    def evaluate(self, bindings: Mapping[str, Union[GaussRat, Fraction, int]]) -> GaussRat:
+    def evaluate(self, bindings: Mapping[str, GaussInput]) -> GaussRat:
         """Exact evaluation; every variable occurring in self must be bound."""
-        values = {}
-        for name, value in bindings.items():
-            if name not in _VAR_INDEX:
-                raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
-            values[_VAR_INDEX[name]] = as_gauss(value)
-        total = as_gauss(0)
-        for exps, coeff in self._terms.items():
-            term = coeff
-            for idx, power in enumerate(exps):
-                if power == 0:
-                    continue
-                if idx not in values:
-                    raise ValueError(f"unbound variable {VARIABLES[idx]!r} in evaluation")
-                v = values[idx]
-                for _ in range(power):
-                    term = term * v
-            total = total + term
-        return total
-
-    # -- comparison / hashing -----------------------------------------
+        # Complex values are substituted; real ones sum as integers over one denominator.
+        values = {_shift(name): as_gauss(value) for name, value in bindings.items()}
+        poly = self
+        for shift, z in values.items():
+            if z.im:
+                poly = poly.substitute(VARIABLES[shift // _W], MPoly.constant(z))
+        nums, den, tables = poly._num, poly._den, []
+        for shift in range(0, 4 * _W, _W):
+            top = max((k >> shift & _FIELD for k in nums), default=0)
+            if top and shift not in values:
+                raise ValueError(f"unbound variable {VARIABLES[shift // _W]!r} in evaluation")
+            if top:
+                a, q = values[shift].re.numerator, values[shift].re.denominator
+                # a^e * q^(top - e) is value^e over the denominator q^top.
+                tables.append((shift, [a ** e * q ** (top - e) for e in range(top + 1)]))
+                den *= q ** top
+        sums = [0, 0]  # real and imaginary numerators
+        for k, c in nums.items():
+            for shift, table in tables:
+                c *= table[k >> shift & _FIELD]
+            sums[k >> 4 * _W] += c
+        return _gauss(Fraction(sums[0], den), Fraction(sums[1], den))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if isinstance(other, (int, Fraction, GaussRat)) and not isinstance(other, bool):
             other = MPoly.constant(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._den, frozenset(self._num.items())))
         return self._hash
-
-    # -- serialization ------------------------------------------------
-
-    def sorted_terms(self) -> Iterable[Tuple[Exponents, GaussRat]]:
-        for exps in sorted(self._terms, key=_term_order_key, reverse=True):
-            yield exps, self._terms[exps]
 
     def to_text(self) -> str:
         """Canonical text form, e.g. "x^2 - 1/2*l*x - y^2"."""
-        if not self._terms:
-            return "0"
-        pieces = []
-        for exps, coeff in self.sorted_terms():
+        terms = self.terms
+        out = []
+        # Graded order, ties broken x-major so that the text reads naturally.
+        for exps in sorted(terms, key=lambda e: (sum(e), e[1], e[0], e[2], e[3]), reverse=True):
+            coeff = terms[exps]
             mono = "*".join(
                 name if power == 1 else f"{name}^{power}"
                 for name, power in zip(VARIABLES, exps)
                 if power
             )
             if coeff.is_real():
-                negative = coeff.re < 0
-                mag = abs(coeff.re)
-                if mono and mag == 1:
-                    body = mono
-                elif mono:
-                    body = f"{format_rat(mag)}*{mono}"
-                else:
-                    body = format_rat(mag)
-                sign = "-" if negative else "+"
+                mag = format_rat(abs(coeff.re))
+                body = (mono if mag == "1" else f"{mag}*{mono}") if mono else mag
+                sign = "-" if coeff.re < 0 else "+"
             else:
-                sign = "+"
-                body = f"({format_gauss(coeff)})*{mono}" if mono else f"({format_gauss(coeff)})"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+                sign, body = "+", f"({format_gauss(coeff)})" + (f"*{mono}" if mono else "")
+            out.append(f" {sign} {body}" if out else ("-" if sign == "-" else "") + body)
+        return "".join(out) or "0"
 
     def __str__(self) -> str:
         return self.to_text()
@@ -268,10 +287,5 @@ class MPoly:
         return f"MPoly({self.to_text()!r})"
 
 
-_ZERO = MPoly()
-_ONE = MPoly({(0, 0, 0, 0): as_gauss(1)})
-
-L = MPoly.variable("l")
-X = MPoly.variable("x")
-Y = MPoly.variable("y")
-R = MPoly.variable("r")
+_ZERO = _wrap({}, 1)
+_ONE = _wrap({0: 1}, 1)

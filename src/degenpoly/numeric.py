@@ -1,20 +1,16 @@
-"""Exact coefficient arithmetic: rationals and Gaussian rationals.
+"""Exact scalars: rationals (stdlib ``Fraction``) and Gaussian rationals.
 
-Rationals are stdlib ``fractions.Fraction`` values, which already maintain
-the canonical reduced form (positive denominator, gcd 1).  ``GaussRat``
-extends them to Q(i), the coefficient field used by every polynomial in
-this package.  All values are immutable.
+``GaussRat`` is a scalar of Q(i): the value of an evaluation, a coefficient
+read out of a polynomial or a factor passed to ``MPoly.scale``.  Polynomials
+do not store it; they keep integer numerators (see ``multipoly``).  Floats
+and bools are rejected with ``TypeError`` wherever a scalar enters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-# The canonical rational type.  Fraction already guarantees den > 0 and
-# gcd(|num|, den) = 1 after every operation, so no extra normalization
-# layer is needed.
 Rat = Fraction
 
 RatInput = Union[int, Fraction, str]
@@ -22,6 +18,10 @@ RatInput = Union[int, Fraction, str]
 
 def as_rat(value: RatInput) -> Fraction:
     """Coerce an int, Fraction or "num/den" string to a canonical rational."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+        raise TypeError(f"expected an int, Fraction or str, got {type(value).__name__}")
     return Fraction(value)
 
 
@@ -32,93 +32,80 @@ def format_rat(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
+def _gauss(re: Fraction, im: Fraction) -> "GaussRat":
+    """A GaussRat from two Fractions, without the checks of ``GaussRat(...)``."""
+    z = object.__new__(GaussRat)
+    object.__setattr__(z, "re", re)
+    object.__setattr__(z, "im", im)
+    return z
+
+
+def _coerce(value: object):
+    if isinstance(value, (GaussRat, int, Fraction)) and not isinstance(value, bool):
+        return as_gauss(value)
+    return NotImplemented
+
+
+def _binary(op):
+    """A GaussRat operator method that coerces int and Fraction operands."""
+    def method(self, other):
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else op(self, other)
+    return method
+
+
+def _div(a: "GaussRat", b: "GaussRat") -> "GaussRat":
+    if not b:
+        raise ZeroDivisionError("division by zero Gaussian rational")
+    norm = b.re * b.re + b.im * b.im
+    return a * _gauss(b.re / norm, -b.im / norm)
+
+
 class GaussRat:
-    """A Gaussian rational re + im*i with exact components."""
+    """An immutable Gaussian rational re + im*i with exact components."""
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re: RatInput, im: RatInput = 0):
+        object.__setattr__(self, "re", as_rat(re))
+        object.__setattr__(self, "im", as_rat(im))
 
-    # -- predicates ---------------------------------------------------
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussRat is immutable")
+
+    __delattr__ = __setattr__
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.im
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
-    # -- arithmetic ---------------------------------------------------
-
-    def _coerce(self, other: object) -> "GaussRat":
-        if isinstance(other, GaussRat):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussRat(Fraction(other))
-        return NotImplemented
-
-    def __add__(self, other: object) -> "GaussRat":
-        other = self._coerce(other)
-        if other is NotImplemented:
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GaussRat:
             return NotImplemented
-        return GaussRat(self.re + other.re, self.im + other.im)
+        return self.re == other.re and self.im == other.im
 
-    __radd__ = __add__
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    __add__ = __radd__ = _binary(lambda a, b: _gauss(a.re + b.re, a.im + b.im))
+    __sub__ = _binary(lambda a, b: _gauss(a.re - b.re, a.im - b.im))
+    __rsub__ = _binary(lambda a, b: _gauss(b.re - a.re, b.im - a.im))
+    __mul__ = __rmul__ = _binary(
+        lambda a, b: _gauss(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+    )
+    __truediv__ = _binary(_div)
+    __rtruediv__ = _binary(lambda a, b: _div(b, a))
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.re, -self.im)
-
-    def __sub__(self, other: object) -> "GaussRat":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRat(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other: object) -> "GaussRat":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other: object) -> "GaussRat":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "GaussRat":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        norm = other.re * other.re + other.im * other.im
-        return GaussRat(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
-    def __rtruediv__(self, other: object) -> "GaussRat":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+        return _gauss(-self.re, -self.im)
 
     def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
-
-    # -- serialization ------------------------------------------------
+        return _gauss(self.re, -self.im)
 
     def __str__(self) -> str:
         return format_gauss(self)
@@ -132,9 +119,7 @@ GaussInput = Union[int, Fraction, GaussRat]
 
 def as_gauss(value: GaussInput) -> GaussRat:
     """Coerce an int, Fraction or GaussRat to GaussRat."""
-    if isinstance(value, GaussRat):
-        return value
-    return GaussRat(Fraction(value))
+    return value if isinstance(value, GaussRat) else _gauss(as_rat(value), _ZERO_RAT)
 
 
 def format_gauss(z: GaussRat) -> str:
@@ -145,6 +130,4 @@ def format_gauss(z: GaussRat) -> str:
     return f"{format_rat(z.re)}{sign}{format_rat(abs(z.im))}*i"
 
 
-ZERO = GaussRat(Fraction(0))
-ONE = GaussRat(Fraction(1))
-I = GaussRat(Fraction(0), Fraction(1))
+_ZERO_RAT = Fraction(0)

@@ -133,3 +133,45 @@ def test_unknown_variable_rejected():
         MPoly.variable("t")
     with pytest.raises(ValueError):
         X.substitute("t", MPoly.one())
+
+
+@pytest.mark.parametrize("exps", [(1, 2), (1, 0, 0, 0, 0), (-1, 0, 0, 0), (0, 1.0, 0, 0),
+                                  (True, 0, 0, 0), (0, 0, 0, 2 ** 15)])
+def test_malformed_exponent_vector_rejected(exps):
+    with pytest.raises(ValueError):
+        MPoly({exps: 1})
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_inexact_and_bool_coefficients_rejected(bad):
+    with pytest.raises(TypeError):
+        MPoly({(0, 0, 0, 0): bad})
+    with pytest.raises(TypeError):
+        X.scale(bad)
+    with pytest.raises(TypeError):
+        X.evaluate({"x": bad})
+
+
+def test_exponent_overflow_is_an_error():
+    # 2**15 is the first exponent past a 15-bit field.
+    top = X ** (2 ** 15 - 1)
+    assert top.total_degree() == 2 ** 15 - 1
+    with pytest.raises(ValueError, match="overflow"):
+        X ** (2 ** 15)
+    with pytest.raises(ValueError, match="overflow"):
+        top * X
+    with pytest.raises(ValueError, match="overflow"):
+        (L * Y ** (2 ** 14)) * (X * Y ** (2 ** 14))
+    # Right below the limit nothing spills into the neighbouring fields.
+    assert (Y ** (2 ** 14) * Y ** (2 ** 14 - 1)).terms == {(0, 0, 2 ** 15 - 1, 0): GaussRat(1)}
+
+
+def test_terms_view_merges_real_and_imaginary_parts():
+    p = (X + Y.scale(I)).scale(Fraction(1, 2)) + X * L
+    assert p.terms == {
+        (0, 1, 0, 0): GaussRat(Fraction(1, 2)),
+        (0, 0, 1, 0): GaussRat(0, Fraction(1, 2)),
+        (1, 1, 0, 0): GaussRat(1),
+    }
+    assert p.terms is not p.terms
+    assert p.coefficient((0, 0, 1, 0)) == GaussRat(0, Fraction(1, 2))

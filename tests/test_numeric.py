@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from degenpoly.numeric import GaussRat, as_gauss, format_gauss, format_rat
+from degenpoly.numeric import GaussRat, as_gauss, as_rat, format_gauss, format_rat
 
 
 def test_rat_addition_textbook():
@@ -76,3 +76,26 @@ def test_serialization():
 def test_as_gauss_coercion():
     assert as_gauss(3) == GaussRat(3)
     assert as_gauss(Fraction(1, 2)) == GaussRat(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False, 1j, None])
+def test_inexact_and_bool_scalars_rejected(bad):
+    with pytest.raises(TypeError):
+        as_rat(bad)
+    with pytest.raises(TypeError):
+        as_gauss(bad)
+    with pytest.raises(TypeError):
+        GaussRat(bad)
+    with pytest.raises(TypeError):
+        GaussRat(1, bad)
+
+
+def test_gauss_is_immutable_value():
+    z = GaussRat(Fraction(1, 2), -3)
+    with pytest.raises(AttributeError):
+        z.re = Fraction(0)
+    assert z == GaussRat(Fraction(2, 4), Fraction(-6, 2))
+    assert hash(z) == hash(GaussRat(Fraction(1, 2), -3))
+    assert repr(z) == "GaussRat(Fraction(1, 2), Fraction(-3, 1))"
+    assert 2 * z == z + z == z * 2
+    assert 1 - z == -(z - 1)
