@@ -10,9 +10,6 @@ from .combinat import (
     falling_factorial,
     gen_falling_factorial,
     gen_rising_factorial,
-    stirling_first,
-    stirling_second,
-    stirling_second_degenerate,
     stirling_table,
 )
 from .families import (
@@ -21,7 +18,6 @@ from .families import (
     classical_family,
     complex_bernoulli,
     complex_euler,
-    deg_cos_sin_closed,
     deg_cos_sin_series,
     deg_exp_series,
     family,
@@ -56,7 +52,6 @@ __all__ = [
     "classical_family",
     "complex_bernoulli",
     "complex_euler",
-    "deg_cos_sin_closed",
     "deg_cos_sin_series",
     "deg_exp_series",
     "falling_factorial",
@@ -67,9 +62,6 @@ __all__ = [
     "gen_falling_factorial",
     "gen_rising_factorial",
     "kernel_series",
-    "stirling_first",
-    "stirling_second",
-    "stirling_second_degenerate",
     "stirling_table",
     "verify",
     "verify_all",

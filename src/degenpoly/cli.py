@@ -65,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     for var in ("l", "x", "y", "r"):
         p_table.add_argument(f"--{var}", default=None, metavar="RAT",
-                             help=f"bind variable {var} for evaluation")
+                             help=f"bind variable {var} for evaluation; write a "
+                             f"negative rational as --{var}=-3/7")
 
     p_stir = sub.add_parser("stirling", help="dump a Stirling table as CSV")
     p_stir.add_argument("--kind", required=True,

@@ -124,10 +124,6 @@ class StirlingTable:
             inv_kfact = Fraction(1, math.factorial(k))
             for n in range(k, n_max + 1):
                 rows[n][k] = power.coefficient(n).scale(inv_kfact)
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                if rows[n][k] is None:  # pragma: no cover
-                    rows[n][k] = MPoly.zero()
         return tuple(tuple(row) for row in rows)
 
 
@@ -135,14 +131,3 @@ class StirlingTable:
 def stirling_table(kind: StirlingKind, n_max: int) -> StirlingTable:
     return StirlingTable.build(kind, n_max)
 
-
-def stirling_first(n: int, k: int) -> MPoly:
-    return stirling_table(StirlingKind.FIRST, n).entry(n, k)
-
-
-def stirling_second(n: int, k: int) -> MPoly:
-    return stirling_table(StirlingKind.SECOND, n).entry(n, k)
-
-
-def stirling_second_degenerate(n: int, k: int) -> MPoly:
-    return stirling_table(StirlingKind.DEGENERATE_SECOND, n).entry(n, k)

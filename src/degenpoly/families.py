@@ -7,23 +7,21 @@ the two routes; they must agree as exact polynomials.
 
 The classical (l = 0) counterparts are built from scratch by the same
 kernel-inversion machinery with plain exponentials, and serve as the
-independent oracle for all limit checks.
+independent oracle for all limit checks.  ``family`` and
+``classical_family`` share only ``_product``, the assembly of the factors
+``_STRUCTURE`` names; each passes its own constructors.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from fractions import Fraction
-from functools import lru_cache
-from typing import List, Tuple
+from functools import lru_cache, reduce
+from typing import Sequence, Tuple
 
-from .combinat import (
-    StirlingKind,
-    falling_factorial,
-    gen_falling_factorial,
-    stirling_table,
-)
+from .combinat import StirlingKind, gen_falling_factorial, stirling_table
 from .egfseries import EgfSeries
 from .multipoly import MPoly, PolyInput
 from .numeric import GaussRat
@@ -103,29 +101,6 @@ def deg_cos_sin_series(order: int) -> Tuple[EgfSeries, EgfSeries]:
     return cos, sin
 
 
-def deg_cos_sin_closed(order: int) -> Tuple[EgfSeries, EgfSeries]:
-    """Same two series by the first-kind-Stirling closed forms."""
-    s1 = stirling_table(StirlingKind.FIRST, order)
-    lam = MPoly.variable("l")
-    yv = MPoly.variable("y")
-    cos_coeffs: List[MPoly] = []
-    sin_coeffs: List[MPoly] = []
-    for n in range(order + 1):
-        c = MPoly.zero()
-        for k in range(n // 2 + 1):
-            c = c + (lam ** (n - 2 * k) * yv ** (2 * k) * s1.entry(n, 2 * k)).scale(
-                (-1) ** k
-            )
-        cos_coeffs.append(c)
-        s = MPoly.zero()
-        for k in range((n - 1) // 2 + 1) if n >= 1 else []:
-            s = s + (
-                lam ** (n - 2 * k - 1) * yv ** (2 * k + 1) * s1.entry(n, 2 * k + 1)
-            ).scale((-1) ** k)
-        sin_coeffs.append(s)
-    return EgfSeries(order, cos_coeffs), EgfSeries(order, sin_coeffs)
-
-
 @lru_cache(maxsize=None)
 def kernel_series(which: str, order: int) -> EgfSeries:
     """The Bernoulli or Euler kernel as a series; coefficient n is the
@@ -152,43 +127,54 @@ def kernel_series(which: str, order: int) -> EgfSeries:
     raise ValueError(f"unknown kernel {which!r}; expected 'bernoulli' or 'euler'")
 
 
-@lru_cache(maxsize=None)
-def _family_series(kind: FamilyKind, order: int) -> EgfSeries:
-    kernel, uses_x, trig = _STRUCTURE[kind]
-    series = None
-    if kernel is not None:
-        series = kernel_series(kernel, order)
+def _product(kind: FamilyKind, order: int, kernel, exp, cos_sin) -> FamilySequence:
+    """Coefficients of the product that ``_STRUCTURE`` names for ``kind``, built
+    from the given constructors: kernel, then exp(x), then cos/sin."""
+    kernel_name, uses_x, trig = _STRUCTURE[kind]
+    factors = []
+    if kernel_name is not None:
+        factors.append(kernel(kernel_name, order))
     if uses_x:
-        expx = deg_exp_series(MPoly.variable("x"), order)
-        series = expx if series is None else series * expx
+        factors.append(exp(MPoly.variable("x"), order))
     if trig is not None:
-        cos, sin = deg_cos_sin_series(order)
-        factor = cos if trig == "cos" else sin
-        series = factor if series is None else series * factor
-    return series
+        factors.append(cos_sin(order)[trig == "sin"])
+    return FamilySequence(kind, order, tuple(reduce(operator.mul, factors).coeffs))
 
 
 @lru_cache(maxsize=None)
 def family(kind: FamilyKind, order: int) -> FamilySequence:
     """Generating-function route: coefficients of the defining product."""
-    series = _family_series(kind, order)
-    return FamilySequence(kind, order, tuple(series.coeffs))
+    return _product(kind, order, kernel_series, deg_exp_series, deg_cos_sin_series)
+
+
+def trig_stirling_sum(trig: str, n: int, inner: Sequence[MPoly], order: int) -> MPoly:
+    """sum over j even (cos) or odd (sin) and m = j..n of
+    (-1)^(j//2) binom(n, m) l^(m-j) y^j S1(m, j) inner[n-m]."""
+    s1 = stirling_table(StirlingKind.FIRST, order)
+    lam = MPoly.variable("l")
+    yv = MPoly.variable("y")
+    acc = MPoly.zero()
+    for j in range(0 if trig == "cos" else 1, n + 1, 2):
+        for m in range(j, n + 1):
+            acc = acc + (lam ** (m - j) * yv ** j * s1.entry(m, j) * inner[n - m]).scale(
+                (-1) ** (j // 2) * math.comb(n, m)
+            )
+    return acc
 
 
 @lru_cache(maxsize=None)
 def family_closed(kind: FamilyKind, order: int) -> FamilySequence:
     """Closed-form route: the theorem double sums, term by term."""
+    kernel, _, trig = _STRUCTURE[kind]
     if kind in (FamilyKind.DEG_BERNOULLI_NUM, FamilyKind.DEG_EULER_NUM):
         raise ValueError(f"{kind.value} has no closed-form route")
-    if kind in (FamilyKind.DEG_BERNOULLI, FamilyKind.DEG_EULER):
+    xv = MPoly.variable("x")
+    if trig is None:
         # Binomial expansion over the corresponding numbers.
         nums = family(
-            FamilyKind.DEG_BERNOULLI_NUM
-            if kind is FamilyKind.DEG_BERNOULLI
-            else FamilyKind.DEG_EULER_NUM,
+            FamilyKind.DEG_BERNOULLI_NUM if kernel == "bernoulli" else FamilyKind.DEG_EULER_NUM,
             order,
         )
-        xv = MPoly.variable("x")
         polys = []
         for n in range(order + 1):
             acc = MPoly.zero()
@@ -198,42 +184,13 @@ def family_closed(kind: FamilyKind, order: int) -> FamilySequence:
                 ).scale(math.comb(n, l))
             polys.append(acc)
         return FamilySequence(kind, order, tuple(polys))
-
-    _, _, trig = _STRUCTURE[kind]
-    if kind in (FamilyKind.DEG_COSINE, FamilyKind.DEG_SINE):
-        inner = {
-            n: gen_falling_factorial(MPoly.variable("x"), n) for n in range(order + 1)
-        }
-    elif kind in (FamilyKind.DEG_COS_EULER, FamilyKind.DEG_SIN_EULER):
-        inner = dict(enumerate(family(FamilyKind.DEG_EULER, order).polys))
+    if kernel is None:
+        inner = [gen_falling_factorial(xv, n) for n in range(order + 1)]
     else:
-        inner = dict(enumerate(family(FamilyKind.DEG_BERNOULLI, order).polys))
-
-    s1 = stirling_table(StirlingKind.FIRST, order)
-    lam = MPoly.variable("l")
-    yv = MPoly.variable("y")
-    polys = []
-    for n in range(order + 1):
-        acc = MPoly.zero()
-        if trig == "cos":
-            for k in range(n // 2 + 1):
-                for m in range(2 * k, n + 1):
-                    acc = acc + (
-                        lam ** (m - 2 * k)
-                        * yv ** (2 * k)
-                        * s1.entry(m, 2 * k)
-                        * inner[n - m]
-                    ).scale((-1) ** k * math.comb(n, m))
-        else:
-            for k in range((n - 1) // 2 + 1) if n >= 1 else []:
-                for m in range(2 * k + 1, n + 1):
-                    acc = acc + (
-                        lam ** (m - 2 * k - 1)
-                        * yv ** (2 * k + 1)
-                        * s1.entry(m, 2 * k + 1)
-                        * inner[n - m]
-                    ).scale((-1) ** k * math.comb(n, m))
-        polys.append(acc)
+        inner = family(
+            FamilyKind.DEG_BERNOULLI if kernel == "bernoulli" else FamilyKind.DEG_EULER, order
+        ).polys
+    polys = [trig_stirling_sum(trig, n, inner, order) for n in range(order + 1)]
     return FamilySequence(kind, order, tuple(polys))
 
 
@@ -310,15 +267,6 @@ def classical_cos_sin_series(order: int) -> Tuple[EgfSeries, EgfSeries]:
 @lru_cache(maxsize=None)
 def classical_family(kind: FamilyKind, order: int) -> FamilySequence:
     """The l = 0 counterpart of a family, built with plain exponentials."""
-    kernel, uses_x, trig = _STRUCTURE[kind]
-    series = None
-    if kernel is not None:
-        series = classical_kernel_series(kernel, order)
-    if uses_x:
-        expx = classical_exp_series(MPoly.variable("x"), order)
-        series = expx if series is None else series * expx
-    if trig is not None:
-        cos, sin = classical_cos_sin_series(order)
-        factor = cos if trig == "cos" else sin
-        series = factor if series is None else series * factor
-    return FamilySequence(kind, order, tuple(series.coeffs))
+    return _product(
+        kind, order, classical_kernel_series, classical_exp_series, classical_cos_sin_series
+    )

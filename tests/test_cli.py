@@ -52,6 +52,19 @@ def test_table_evaluation(capsys):
     assert out == "2\n"
 
 
+@pytest.mark.parametrize("binding, expected", [
+    # argparse reads "-3/7" as an option, so a negative rational is joined by "=".
+    (["--l=-3/7"], "27/7\n"),
+    (["--l", "-3"], "9\n"),
+])
+def test_table_negative_binding(capsys, binding, expected):
+    code, out, _ = run_cli(
+        capsys, "table", "--family", "deg-cosine", "--n", "2", *binding, "--x", "2", "--y", "1"
+    )
+    assert code == 0
+    assert out == expected
+
+
 def test_table_unbound_evaluation_is_error(capsys):
     code, out, err = run_cli(
         capsys, "table", "--family", "deg-cosine", "--n", "2", "--x", "2"

@@ -5,9 +5,6 @@ from degenpoly.combinat import (
     falling_factorial,
     gen_falling_factorial,
     gen_rising_factorial,
-    stirling_first,
-    stirling_second,
-    stirling_second_degenerate,
     stirling_table,
 )
 from degenpoly.multipoly import MPoly
@@ -36,11 +33,15 @@ def test_rising_vs_falling_sign_relation():
         assert gen_rising_factorial(X, n) == gen_falling_factorial(-X, n).scale((-1) ** n)
 
 
+def _entry(kind, n, k):
+    return stirling_table(kind, n).entry(n, k)
+
+
 def test_stirling_first_values():
-    assert stirling_first(3, 2) == MPoly.constant(-3)
-    assert stirling_first(3, 1) == MPoly.constant(2)
+    assert _entry(StirlingKind.FIRST, 3, 2) == MPoly.constant(-3)
+    assert _entry(StirlingKind.FIRST, 3, 1) == MPoly.constant(2)
     for n in range(6):
-        assert stirling_first(n, n) == MPoly.one()
+        assert _entry(StirlingKind.FIRST, n, n) == MPoly.one()
 
 
 def test_stirling_first_reconstruction():
@@ -64,11 +65,12 @@ def test_stirling_second_reconstruction():
 
 
 def test_stirling_second_degenerate_values():
-    assert stirling_second_degenerate(2, 1) == MPoly.one() - L
+    deg = StirlingKind.DEGENERATE_SECOND
+    assert _entry(deg, 2, 1) == MPoly.one() - L
     for n in range(6):
-        assert stirling_second_degenerate(n, n) == MPoly.one()
+        assert _entry(deg, n, n) == MPoly.one()
     # Classical value at l = 0: x^3 = x + 3x(x-1) + x(x-1)(x-2).
-    assert stirling_second_degenerate(3, 2).substitute("l", 0) == MPoly.constant(3)
+    assert _entry(deg, 3, 2).substitute("l", 0) == MPoly.constant(3)
 
 
 def test_degenerate_second_limit_is_classical():

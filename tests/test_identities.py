@@ -116,3 +116,53 @@ def test_module_level_helpers():
 def test_degenerate_run_all_hold_at_n_zero():
     _, summary = verify_all(0, 2)
     assert summary["fails"] == 0
+
+
+# Perturbing one family must make exactly the checks that read it fail; a
+# sin check that re-read the cos family would still report a zero residual.
+_MUTATION_MAP = {
+    FamilyKind.DEG_BERNOULLI_NUM: {"L0_classical_limits"},
+    FamilyKind.DEG_EULER_NUM: {"L0_classical_limits"},
+    FamilyKind.DEG_BERNOULLI: {
+        "E61_E62_x0", "L0_classical_limits", "TB_closed_cos", "TB_closed_sin"},
+    FamilyKind.DEG_EULER: {
+        "L0_classical_limits", "T1_conj", "T1_expand", "T3_cos", "T3_sin"},
+    **{
+        kind: {"C10_" + trig, "L0_classical_limits", "T2_" + trig, "T3_" + trig,
+               "T4_" + trig, "T9_diff_" + trig, "TB_closed_" + trig}
+        for kind, trig in ((FamilyKind.DEG_COSINE, "cos"), (FamilyKind.DEG_SINE, "sin"))
+    },
+    **{
+        kind: {"D_decomposition", "L0_classical_limits", "P5_shift_" + trig,
+               "T3_" + trig, "T4_" + trig, "T6_reflect_" + trig,
+               "T7_stirling_euler_" + trig}
+        for kind, trig in ((FamilyKind.DEG_COS_EULER, "cos"),
+                           (FamilyKind.DEG_SIN_EULER, "sin"))
+    },
+    **{
+        kind: {"C10_" + trig, "D_decomposition", shift, "E61_E62_x0",
+               "E63_stirling_bern_" + trig, "L0_classical_limits",
+               "T8_reflect_" + trig, "TB_closed_" + trig}
+        for kind, trig, shift in (
+            (FamilyKind.DEG_COS_BERNOULLI, "cos", "E57_shift_cos"),
+            (FamilyKind.DEG_SIN_BERNOULLI, "sin", "E58_shift_sin"))
+    },
+}
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda kind: kind.value)
+def test_each_check_reads_its_own_family(monkeypatch, kind):
+    import degenpoly.identities as identities
+    from degenpoly.families import FamilySequence
+
+    def perturbed(asked, order):
+        seq = family(asked, order)
+        if asked is not kind:
+            return seq
+        r = MPoly.variable("r")
+        return FamilySequence(asked, order, tuple(p + r for p in seq.polys))
+
+    monkeypatch.setattr(identities, "family", perturbed)
+    reports, _ = IdentityEngine(4, 6).verify_all()
+    failing = {rep.id.value for rep in reports if rep.verdict == "fails"}
+    assert failing == _MUTATION_MAP[kind]
