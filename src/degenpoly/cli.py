@@ -29,7 +29,7 @@ from .families import (
     kernel_series,
 )
 from .identities import IdentityEngine, IdentityId, summarize
-from .multipoly import MPoly
+from .multipoly import _LIMIT, MPoly
 from .numeric import format_gauss
 
 _IDENTITY_BY_VALUE = {tag.value: tag for tag in IdentityId}
@@ -45,6 +45,14 @@ def _parse_rat(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SystemExit(f"error: invalid rational {text!r}: {exc}")
+
+
+def _check_size(name: str, value: Optional[int]) -> None:
+    # A polynomial of degree value would overflow its exponent field, and
+    # the builds would run a long time before the overflow showed.
+    if value is not None and value >= _LIMIT:
+        raise SystemExit(f"error: {name} {value} is too large: exponents must stay "
+                         f"below {_LIMIT}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,6 +105,7 @@ def _table_rows(args) -> List[dict]:
     if top < 0:
         raise SystemExit("error: index must be non-negative")
     order = args.order if args.order is not None else top + 2
+    _check_size("order", order)
     if order < top + 1:
         raise SystemExit(f"error: order {order} too small for index {top}")
     seq = family(kind, order)
@@ -162,6 +171,7 @@ def _cmd_stirling(args) -> int:
 
 def _cmd_verify(args) -> int:
     order = args.order if args.order is not None else args.n_max + 2
+    _check_size("order", order)
     try:
         engine = IdentityEngine(args.n_max, order)
     except ValueError as exc:
@@ -233,6 +243,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "series": _cmd_series,
     }
     try:
+        for name in ("n", "n_max", "order"):
+            _check_size("--" + name.replace("_", "-"), getattr(args, name, None))
         return handlers[args.command](args)
     except SystemExit as exc:
         if isinstance(exc.code, str):

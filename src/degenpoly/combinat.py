@@ -19,8 +19,11 @@ from .egfseries import EgfSeries
 from .multipoly import MPoly, PolyInput
 
 
+@lru_cache(maxsize=None)
 def falling_factorial(u: PolyInput, n: int) -> MPoly:
-    """u (u-1) ... (u-n+1); the empty product 1 for n = 0."""
+    """u (u-1) ... (u-n+1); the empty product 1 for n = 0.  Cached, like
+    ``gen_falling_factorial``: the checks' sums ask for the same few
+    factorials many times."""
     if n < 0:
         raise ValueError("falling factorial needs n >= 0")
     u = MPoly.coerce(u)
@@ -30,6 +33,7 @@ def falling_factorial(u: PolyInput, n: int) -> MPoly:
     return result
 
 
+@lru_cache(maxsize=None)
 def gen_falling_factorial(u: PolyInput, n: int, step: int = -1) -> MPoly:
     """Product of (u + step*j*l) for j = 0..n-1.
 

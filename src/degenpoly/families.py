@@ -147,19 +147,29 @@ def family(kind: FamilyKind, order: int) -> FamilySequence:
     return _product(kind, order, kernel_series, deg_exp_series, deg_cos_sin_series)
 
 
+@lru_cache(maxsize=None)
+def trig_stirling_rows(trig: str, order: int) -> Tuple[MPoly, ...]:
+    """Rows T_m = sum_j (-1)^(j//2) S1(m, j) l^(m-j) y^j for m = 0..order, over
+    j even (cos) or odd (sin), read from the first-kind Stirling table."""
+    s1 = stirling_table(StirlingKind.FIRST, order)
+    return tuple(
+        sum((s1.entry(m, j) * MPoly({(m - j, 0, j, 0): (-1) ** (j // 2)})
+             for j in range(0 if trig == "cos" else 1, m + 1, 2)), MPoly.zero())
+        for m in range(order + 1)
+    )
+
+
 def trig_stirling_sum(trig: str, n: int, inner: Sequence[MPoly], order: int) -> MPoly:
     """sum over j even (cos) or odd (sin) and m = j..n of
-    (-1)^(j//2) binom(n, m) l^(m-j) y^j S1(m, j) inner[n-m]."""
-    s1 = stirling_table(StirlingKind.FIRST, order)
-    lam = MPoly.variable("l")
-    yv = MPoly.variable("y")
-    acc = MPoly.zero()
-    for j in range(0 if trig == "cos" else 1, n + 1, 2):
-        for m in range(j, n + 1):
-            acc = acc + (lam ** (m - j) * yv ** j * s1.entry(m, j) * inner[n - m]).scale(
-                (-1) ** (j // 2) * math.comb(n, m)
-            )
-    return acc
+    (-1)^(j//2) binom(n, m) l^(m-j) y^j S1(m, j) inner[n-m].
+
+    The sum over j does not depend on n or on ``inner``, so it is grouped by m
+    into the rows T_m of ``trig_stirling_rows`` and the sum taken as
+    sum_m binom(n, m) T_m inner[n-m]."""
+    rows = trig_stirling_rows(trig, order)
+    return sum(
+        ((rows[m] * inner[n - m]).scale(math.comb(n, m)) for m in range(n + 1)), MPoly.zero()
+    )
 
 
 @lru_cache(maxsize=None)

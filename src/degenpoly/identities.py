@@ -53,8 +53,17 @@ from .numeric import GaussRat
 # The family whose defining product is kernel x e_l^x(t) x trig, by (kernel, trig).
 _KIND = {(kernel, trig): kind for kind, (kernel, uses_x, trig) in _STRUCTURE.items() if uses_x}
 
-# The families whose x = 0 specializations the checks read.
-_X0_KINDS = tuple(kind for (kernel, _), kind in _KIND.items() if kernel is not None)
+
+class _BuildOnMiss(dict):
+    """A dict that builds a missing value with ``build(key)`` and keeps it."""
+
+    def __init__(self, build: Callable):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
 
 
 def _binom_sum(n: int, term: Callable[[int], MPoly]) -> MPoly:
@@ -105,21 +114,33 @@ class IdentityEngine:
         self.n_max = n_max
         self.order = order
 
-    # -- shared constructions (each built once) -----------------------
+    # -- shared constructions (each built once, a family on first use) --
 
     @cached_property
     def polys(self) -> Dict[FamilyKind, Sequence[MPoly]]:
-        return {kind: family(kind, self.order).polys for kind in FamilyKind}
+        return _BuildOnMiss(lambda kind: family(kind, self.order).polys)
 
     @cached_property
     def x0(self) -> Dict[FamilyKind, Sequence[MPoly]]:
         # The x = 0 polynomials; for the plain Euler/Bernoulli families
         # these are the numbers, by substitution in the polynomial family.
-        return {kind: [p.substitute("x", 0) for p in self.polys[kind]] for kind in _X0_KINDS}
+        return _BuildOnMiss(lambda kind: [p.substitute("x", 0) for p in self.polys[kind]])
 
     @cached_property
     def stirling2_deg(self):
         return stirling_table(StirlingKind.DEGENERATE_SECOND, self.order)
+
+    @cached_property
+    def _u_table(self) -> List[MPoly]:
+        # U_k = sum_{l<=k} S2_deg(k, l) (x)_l for k = 0..order, from the Stirling
+        # table.  U_k equals (x)_{k,l}, but building it that way would let T7
+        # and E63 check the generating-function route against itself.
+        xv = MPoly.variable("x")
+        return [
+            sum((self.stirling2_deg.entry(k, l) * falling_factorial(xv, l)
+                 for l in range(k + 1)), MPoly.zero())
+            for k in range(self.order + 1)
+        ]
 
     @cached_property
     def complex_euler(self):
@@ -231,19 +252,19 @@ class IdentityEngine:
         ])
 
     def _stirling2_sum(self, n, y_polys, binom_of: str) -> MPoly:
-        """sum_{k=0}^n sum_{l=0}^k binom(n, k or l) (x)_l S2_deg(k,l) P_{n-k}(y)."""
+        """sum_{k=0}^n sum_{l=0}^k binom(n, k or l) (x)_l S2_deg(k,l) P_{n-k}(y).
+
+        binom(n, k): the inner sum over l is U_k (``_u_table``), so this is
+        sum_k binom(n, k) U_k P_{n-k}.  binom(n, l): the sums swap to
+        sum_l binom(n, l) (x)_l sum_{k=l..n} S2_deg(k, l) P_{n-k}.  Both read
+        S2_deg from the degenerate second-kind Stirling table.
+        """
+        if binom_of == "k":
+            return _binom_sum(n, lambda k: self._u_table[k] * y_polys[n - k])
         xv = MPoly.variable("x")
-        acc = MPoly.zero()
-        for k in range(n + 1):
-            tail = y_polys[n - k]
-            if tail.is_zero():
-                continue
-            for l in range(k + 1):
-                b = math.comb(n, k) if binom_of == "k" else math.comb(n, l)
-                acc = acc + (
-                    falling_factorial(xv, l) * self.stirling2_deg.entry(k, l) * tail
-                ).scale(b)
-        return acc
+        s2 = self.stirling2_deg
+        return _binom_sum(n, lambda l: falling_factorial(xv, l) * sum(
+            (s2.entry(k, l) * y_polys[n - k] for k in range(l, n + 1)), MPoly.zero()))
 
     def _t7(self, tag, n, trig):
         # Theorem 7's two displays disagree on the binomial index (n over l

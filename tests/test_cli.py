@@ -124,6 +124,24 @@ def test_verify_order_violation(capsys):
     assert "order" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--family", "deg-cosine", "--n", "40000"],
+    ["table", "--family", "deg-euler", "--n-max", "32768"],
+    # The default order, index + 2, is past the limit.
+    ["table", "--family", "deg-cosine", "--n", "32766"],
+    ["verify", "--identity", "T2_cos", "--n-max", "40000"],
+    ["verify", "--n-max", "3", "--order", "32768"],
+    ["stirling", "--kind", "first", "--n-max", "32768"],
+    ["series", "--kernel", "euler", "--order", "32768"],
+])
+def test_sizes_past_the_exponent_field_fail_fast(capsys, argv):
+    # Exponents must stay below 2^15; such a size is rejected before any build.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "32768" in err
+
+
 def test_verify_output_is_deterministic(capsys):
     args = ["verify", "--identity", "T4_cos", "--n-max", "4", "--format", "json"]
     _, first, _ = run_cli(capsys, *args)

@@ -7,6 +7,7 @@ from degenpoly.combinat import (
     gen_rising_factorial,
     stirling_table,
 )
+from degenpoly.identities import IdentityEngine
 from degenpoly.multipoly import MPoly
 
 L = MPoly.variable("l")
@@ -62,6 +63,16 @@ def test_stirling_second_reconstruction():
         for k in range(n + 1):
             total = total + table.entry(n, k) * falling_factorial(X, k)
         assert total == X ** n
+
+
+def test_stirling_degenerate_second_rows_give_degenerate_falling_factorial():
+    # U_k = sum_l S2_deg(k, l) (x)_l is (x)_{k,l}, the degenerate analogue of
+    # sum_k S(n, k) (x)_k = x^n.  The engine builds U_k from the Stirling table
+    # only; this compares it with the directly expanded product.
+    table = IdentityEngine(12, 14)._u_table
+    assert len(table) == 15
+    for k, u_k in enumerate(table):
+        assert u_k == gen_falling_factorial(X, k)
 
 
 def test_stirling_second_degenerate_values():

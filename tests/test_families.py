@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from degenpoly.combinat import gen_falling_factorial
 from degenpoly.families import (
     FamilyKind,
     SINE_KINDS,
@@ -14,6 +15,7 @@ from degenpoly.families import (
     family,
     family_closed,
     kernel_series,
+    trig_stirling_rows,
 )
 from degenpoly.multipoly import MPoly
 from degenpoly.numeric import GaussRat
@@ -68,6 +70,15 @@ def test_deg_cos_sin_closed_matches_series():
     for kind, coeffs in zip((FamilyKind.DEG_COSINE, FamilyKind.DEG_SINE), series):
         closed = family_closed(kind, N)
         assert [p.substitute("x", 0) for p in closed.polys] == list(coeffs.coeffs)
+
+
+def test_trig_stirling_rows_are_parts_of_factorial_at_iy():
+    # The cos/sin rows are built from the first-kind Stirling table; they must
+    # be the real and imaginary parts of (iy)_{m,l} = prod_j (iy - j*l).
+    iy = Y.scale(GaussRat(0, 1))
+    cos_rows, sin_rows = trig_stirling_rows("cos", 14), trig_stirling_rows("sin", 14)
+    for m in range(15):
+        assert (cos_rows[m], sin_rows[m]) == gen_falling_factorial(iy, m).split_real_imag()
 
 
 def test_euler_kernel_coefficients():

@@ -40,6 +40,13 @@ def test_t2_sin_degree_zero_holds(engine):
     assert rep.lhs_minus_rhs.is_zero()
 
 
+def test_single_check_builds_only_its_family():
+    fresh = IdentityEngine(4, 6)
+    fresh.verify(IdentityId.T2_SIN)
+    assert set(fresh.polys) == {FamilyKind.DEG_SINE}
+    assert not fresh.x0
+
+
 def test_t9_degree_zero_by_hand(engine):
     # C_0 = 1 must equal the first forward difference of the degree-1
     # cosine-Bernoulli polynomial; worked by hand: beta1^c = x + (l-1)/2 - ...
