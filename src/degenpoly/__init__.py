@@ -1,8 +1,7 @@
 """Exact-arithmetic construction and verification of degenerate
 Bernoulli/Euler polynomial families and their cosine/sine variants."""
 
-from .numeric import GaussRat, Rat, as_gauss, as_rat, format_gauss, format_rat
-from .multipoly import MPoly, VARIABLES
+from .multipoly import GaussRat, MPoly, VARIABLES, as_rat, format_rat
 from .egfseries import EgfSeries
 from .combinat import (
     StirlingKind,
@@ -16,8 +15,8 @@ from .families import (
     FamilyKind,
     FamilySequence,
     classical_family,
-    complex_bernoulli,
     complex_euler,
+    complex_series,
     deg_cos_sin_series,
     deg_exp_series,
     family,
@@ -43,21 +42,18 @@ __all__ = [
     "IdentityId",
     "IdentityReport",
     "MPoly",
-    "Rat",
     "StirlingKind",
     "StirlingTable",
     "VARIABLES",
-    "as_gauss",
     "as_rat",
     "classical_family",
-    "complex_bernoulli",
     "complex_euler",
+    "complex_series",
     "deg_cos_sin_series",
     "deg_exp_series",
     "falling_factorial",
     "family",
     "family_closed",
-    "format_gauss",
     "format_rat",
     "gen_falling_factorial",
     "gen_rising_factorial",

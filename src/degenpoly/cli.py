@@ -30,7 +30,6 @@ from .families import (
 )
 from .identities import IdentityEngine, IdentityId, summarize
 from .multipoly import _LIMIT, MPoly
-from .numeric import format_gauss
 
 _IDENTITY_BY_VALUE = {tag.value: tag for tag in IdentityId}
 _FAMILY_BY_VALUE = {kind.value: kind for kind in FamilyKind}
@@ -120,7 +119,7 @@ def _table_rows(args) -> List[dict]:
         poly = seq[n]
         if bindings:
             try:
-                value = format_gauss(poly.evaluate(bindings))
+                value = str(poly.evaluate(bindings))
             except ValueError as exc:
                 raise SystemExit(f"error: {exc}")
         else:

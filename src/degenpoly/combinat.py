@@ -107,11 +107,7 @@ class StirlingTable:
         rows = []
         for n in range(n_max + 1):
             expanded = falling_factorial(MPoly.variable("x"), n)
-            row = tuple(
-                MPoly.constant(expanded.coefficient((0, k, 0, 0)))
-                for k in range(n + 1)
-            )
-            rows.append(row)
+            rows.append(tuple(expanded.coefficient((0, k, 0, 0)) for k in range(n + 1)))
         return tuple(rows)
 
     @staticmethod

@@ -9,11 +9,9 @@ t^{N+1}: coefficients beyond the order are never consulted.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence
 
-from .multipoly import MPoly, PolyInput
-from .numeric import GaussRat
+from .multipoly import MPoly, PolyInput, Scalar
 
 
 class EgfSeries:
@@ -54,11 +52,6 @@ class EgfSeries:
             raise IndexError(f"coefficient index {n} out of range 0..{self._order}")
         return self._coeffs[n]
 
-    def truncate(self, order: int) -> "EgfSeries":
-        if order > self._order:
-            raise ValueError(f"cannot extend order {self._order} series to {order}")
-        return EgfSeries(order, self._coeffs[: order + 1])
-
     def _check_order(self, other: "EgfSeries") -> None:
         if self._order != other._order:
             raise ValueError(f"series order mismatch: {self._order} vs {other._order}")
@@ -85,7 +78,7 @@ class EgfSeries:
             out.append(acc)
         return EgfSeries(self._order, out)
 
-    def scale(self, value: Union[GaussRat, Fraction, int]) -> "EgfSeries":
+    def scale(self, value: Scalar) -> "EgfSeries":
         return EgfSeries(self._order, [c.scale(value) for c in self._coeffs])
 
     def invert(self) -> "EgfSeries":
@@ -113,9 +106,6 @@ class EgfSeries:
 
     def __hash__(self) -> int:
         return hash((self._order, self._coeffs))
-
-    def __iter__(self) -> Iterable[MPoly]:
-        return iter(self._coeffs)
 
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self._coeffs[:4])

@@ -24,7 +24,6 @@ from typing import Sequence, Tuple
 from .combinat import StirlingKind, gen_falling_factorial, stirling_table
 from .egfseries import EgfSeries
 from .multipoly import MPoly, PolyInput
-from .numeric import GaussRat
 
 
 class FamilyKind(enum.Enum):
@@ -56,24 +55,17 @@ _STRUCTURE = {
     FamilyKind.DEG_SIN_BERNOULLI: ("bernoulli", True, "sin"),
 }
 
-SINE_KINDS = (FamilyKind.DEG_SINE, FamilyKind.DEG_SIN_EULER, FamilyKind.DEG_SIN_BERNOULLI)
-
 
 class FamilySequence:
     """Polynomials polys[0..order] of one family."""
 
-    __slots__ = ("kind", "order", "polys")
+    __slots__ = ("polys",)
 
-    def __init__(self, kind: FamilyKind, order: int, polys: Tuple[MPoly, ...]):
-        self.kind = kind
-        self.order = order
+    def __init__(self, polys: Tuple[MPoly, ...]):
         self.polys = polys
 
     def __getitem__(self, n: int) -> MPoly:
         return self.polys[n]
-
-    def __len__(self) -> int:
-        return len(self.polys)
 
 
 def deg_exp_series(exponent: PolyInput, order: int) -> EgfSeries:
@@ -92,12 +84,12 @@ def deg_exp_series(exponent: PolyInput, order: int) -> EgfSeries:
 @lru_cache(maxsize=None)
 def deg_cos_sin_series(order: int) -> Tuple[EgfSeries, EgfSeries]:
     """Degenerate cosine and sine series, via (E(iy) +/- E(-iy)) / 2, /2i."""
-    iy = MPoly.variable("y").scale(GaussRat(Fraction(0), Fraction(1)))
+    iy = MPoly.variable("y") * MPoly.I
     plus = deg_exp_series(iy, order)
     minus = deg_exp_series(-iy, order)
     cos = (plus + minus).scale(Fraction(1, 2))
-    # 1/(2i) = -i/2
-    sin = (plus - minus).scale(GaussRat(Fraction(0), Fraction(-1, 2)))
+    # 1/(2i) = -i/2, so the sine is i/2 times (E(-iy) - E(iy)).
+    sin = EgfSeries(order, [c * MPoly.I for c in (minus - plus).coeffs]).scale(Fraction(1, 2))
     return cos, sin
 
 
@@ -138,7 +130,7 @@ def _product(kind: FamilyKind, order: int, kernel, exp, cos_sin) -> FamilySequen
         factors.append(exp(MPoly.variable("x"), order))
     if trig is not None:
         factors.append(cos_sin(order)[trig == "sin"])
-    return FamilySequence(kind, order, tuple(reduce(operator.mul, factors).coeffs))
+    return FamilySequence(tuple(reduce(operator.mul, factors).coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +185,7 @@ def family_closed(kind: FamilyKind, order: int) -> FamilySequence:
                     nums[l] * gen_falling_factorial(xv, n - l)
                 ).scale(math.comb(n, l))
             polys.append(acc)
-        return FamilySequence(kind, order, tuple(polys))
+        return FamilySequence(tuple(polys))
     if kernel is None:
         inner = [gen_falling_factorial(xv, n) for n in range(order + 1)]
     else:
@@ -201,33 +193,19 @@ def family_closed(kind: FamilyKind, order: int) -> FamilySequence:
             FamilyKind.DEG_BERNOULLI if kernel == "bernoulli" else FamilyKind.DEG_EULER, order
         ).polys
     polys = [trig_stirling_sum(trig, n, inner, order) for n in range(order + 1)]
-    return FamilySequence(kind, order, tuple(polys))
+    return FamilySequence(tuple(polys))
 
 
 @lru_cache(maxsize=None)
-def complex_euler_series(order: int) -> EgfSeries:
-    """Euler kernel times the degenerate exponential at x + iy."""
-    arg = MPoly.variable("x") + MPoly.variable("y").scale(
-        GaussRat(Fraction(0), Fraction(1))
-    )
-    return kernel_series("euler", order) * deg_exp_series(arg, order)
-
-
-@lru_cache(maxsize=None)
-def complex_bernoulli_series(order: int) -> EgfSeries:
-    arg = MPoly.variable("x") + MPoly.variable("y").scale(
-        GaussRat(Fraction(0), Fraction(1))
-    )
-    return kernel_series("bernoulli", order) * deg_exp_series(arg, order)
+def complex_series(kernel: str, order: int) -> EgfSeries:
+    """The Bernoulli or Euler kernel times the degenerate exponential at x + iy."""
+    arg = MPoly.variable("x") + MPoly.variable("y") * MPoly.I
+    return kernel_series(kernel, order) * deg_exp_series(arg, order)
 
 
 def complex_euler(n: int, order: int) -> MPoly:
     """The degenerate Euler polynomial at complex argument x + iy."""
-    return complex_euler_series(order).coefficient(n)
-
-
-def complex_bernoulli(n: int, order: int) -> MPoly:
-    return complex_bernoulli_series(order).coefficient(n)
+    return complex_series("euler", order).coefficient(n)
 
 
 # -- classical (l = 0) oracle -----------------------------------------------

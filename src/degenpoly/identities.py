@@ -39,8 +39,7 @@ from .families import (
     _STRUCTURE,
     FamilyKind,
     classical_family,
-    complex_bernoulli_series,
-    complex_euler_series,
+    complex_series,
     deg_exp_series,
     family,
     family_closed,
@@ -48,7 +47,6 @@ from .families import (
     trig_stirling_sum,
 )
 from .multipoly import MPoly
-from .numeric import GaussRat
 
 # The family whose defining product is kernel x e_l^x(t) x trig, by (kernel, trig).
 _KIND = {(kernel, trig): kind for kind, (kernel, uses_x, trig) in _STRUCTURE.items() if uses_x}
@@ -144,18 +142,16 @@ class IdentityEngine:
 
     @cached_property
     def complex_euler(self):
-        return complex_euler_series(self.order).coeffs
+        return complex_series("euler", self.order).coeffs
 
     @cached_property
     def complex_bernoulli(self):
-        return complex_bernoulli_series(self.order).coeffs
+        return complex_series("bernoulli", self.order).coeffs
 
     @cached_property
     def conj_euler(self):
         # Euler kernel times degenerate exponential at x - iy.
-        arg = MPoly.variable("x") - MPoly.variable("y").scale(
-            GaussRat(Fraction(0), Fraction(1))
-        )
+        arg = MPoly.variable("x") - MPoly.variable("y") * MPoly.I
         series = kernel_series("euler", self.order) * deg_exp_series(arg, self.order)
         return series.coeffs
 
@@ -170,7 +166,7 @@ class IdentityEngine:
     # -- the checks ----------------------------------------------------
 
     def _t1_expand(self, tag, n):
-        iy = MPoly.variable("y").scale(GaussRat(Fraction(0), Fraction(1)))
+        iy = MPoly.variable("y") * MPoly.I
         xiy = MPoly.variable("x") + iy
         euler, nums = self.polys[FamilyKind.DEG_EULER], self.x0[FamilyKind.DEG_EULER]
         lhs = self.complex_euler[n]
@@ -179,7 +175,7 @@ class IdentityEngine:
         return self._simple(tag, n, [lhs - rhs1, lhs - rhs2])
 
     def _t1_conj(self, tag, n):
-        iy = MPoly.variable("y").scale(GaussRat(Fraction(0), Fraction(1)))
+        iy = MPoly.variable("y") * MPoly.I
         iy_minus_x = iy - MPoly.variable("x")
         euler, nums = self.polys[FamilyKind.DEG_EULER], self.x0[FamilyKind.DEG_EULER]
         lhs = self.conj_euler[n]

@@ -1,4 +1,5 @@
-"""Sparse multivariate polynomials over the Gaussian rationals.
+"""Sparse multivariate polynomials over the Gaussian rationals, and the scalar
+values read out of them.
 
 The variable set is fixed: (l, x, y, r), where "l" is the deformation
 parameter.  A polynomial maps packed monomial keys to nonzero integer
@@ -11,9 +12,14 @@ Key layout (Kronecker substitution): the exponents of l, x, y and r fill
 monomial product is one integer addition, with i^2 = -1 reduced inside the
 multiply.  The top bit of each field is a guard: exponents below 2**15 add
 without carrying, so an overflowing product is caught exactly (ValueError).
-``GaussRat`` and ``Fraction`` appear only at the edges: the ``terms`` view
-(built on each call), ``coefficient``, ``evaluate``, ``scale``'s factor and
-``to_text``.
+
+``i`` is a ring element, ``MPoly.I``: a complex scalar is a degree-0
+polynomial such as ``re + im * MPoly.I``.  Scalars entering the ring
+(``MPoly({exps: c})``, ``constant``, ``scale`` and the bindings of
+``evaluate``) are ``int`` or ``Fraction``; anything else, bool and float
+included, raises ``TypeError``.  ``GaussRat`` is only the value that comes
+out: ``evaluate`` returns one and the ``terms`` view (built on each call)
+maps monomials to them.
 """
 
 from __future__ import annotations
@@ -24,18 +30,84 @@ from math import gcd, lcm
 from operator import or_
 from typing import Dict, Mapping, Tuple, Union
 
-from .numeric import GaussInput, GaussRat, _gauss, as_gauss, format_gauss, format_rat
-
 VARIABLES = ("l", "x", "y", "r")
 
 Exponents = Tuple[int, int, int, int]
-PolyInput = Union["MPoly", GaussRat, Fraction, int]
+Scalar = Union[int, Fraction]
+PolyInput = Union["MPoly", Scalar]
 
 _W = 16  # bits per exponent field, guard bit included
 _LIMIT = 1 << (_W - 1)  # exponents lie in 0.._LIMIT-1
 _FIELD = (1 << _W) - 1
 _GUARDS = sum(_LIMIT << (_W * j) for j in range(4))
 _I = 1 << (4 * _W)  # the exponent bit of i
+
+
+def as_rat(value: Scalar) -> Fraction:
+    """An int or Fraction as a canonical Fraction; anything else is a TypeError."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+    return Fraction(value)
+
+
+def format_rat(q: Fraction) -> str:
+    """Serialize as "num/den", omitting the denominator when it is 1."""
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def _gauss(re: Fraction, im: Fraction) -> "GaussRat":
+    """A GaussRat from two Fractions, without the checks of the constructor."""
+    z = object.__new__(GaussRat)
+    object.__setattr__(z, "re", re)
+    object.__setattr__(z, "im", im)
+    return z
+
+
+class GaussRat:
+    """An immutable Gaussian rational re + im*i: a value read out of a polynomial."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Scalar, im: Scalar = 0):
+        object.__setattr__(self, "re", as_rat(re))
+        object.__setattr__(self, "im", as_rat(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussRat is immutable")
+
+    __delattr__ = __setattr__
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GaussRat:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    # Kept for perfbench, whose numeric.mul_ns.* metrics time this product.
+    def __mul__(self, other: "GaussRat") -> "GaussRat":
+        if type(other) is not GaussRat:
+            return NotImplemented
+        return _gauss(self.re * other.re - self.im * other.im,
+                      self.re * other.im + self.im * other.re)
+
+    def __str__(self) -> str:
+        """Serialize as "re+im*i" with "num/den" components; just "re" when real."""
+        if not self.im:
+            return format_rat(self.re)
+        sign = "+" if self.im > 0 else "-"
+        return f"{format_rat(self.re)}{sign}{format_rat(abs(self.im))}*i"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.re!r}, {self.im!r})"
 
 
 def _shift(name: str) -> int:
@@ -100,11 +172,10 @@ class MPoly:
 
     __slots__ = ("_num", "_den", "_hash")
 
-    def __new__(cls, terms: Mapping[Exponents, GaussInput] | None = None):
-        coeffs = [(_pack(exps), as_gauss(c)) for exps, c in (terms or {}).items()]
-        den = lcm(*(q.denominator for _, z in coeffs for q in (z.re, z.im)))
-        return _make({key | i: q.numerator * (den // q.denominator)
-                      for key, z in coeffs for i, q in ((0, z.re), (_I, z.im))}, den)
+    def __new__(cls, terms: Mapping[Exponents, Scalar] | None = None):
+        coeffs = [(_pack(exps), as_rat(c)) for exps, c in (terms or {}).items()]
+        den = lcm(*(q.denominator for _, q in coeffs))
+        return _make({key: q.numerator * (den // q.denominator) for key, q in coeffs}, den)
 
     @classmethod
     def zero(cls) -> "MPoly":
@@ -115,7 +186,7 @@ class MPoly:
         return _ONE
 
     @classmethod
-    def constant(cls, value: GaussInput) -> "MPoly":
+    def constant(cls, value: Scalar) -> "MPoly":
         return _make({0: value}, 1) if type(value) is int else cls({(0, 0, 0, 0): value})
 
     @classmethod
@@ -146,10 +217,11 @@ class MPoly:
         """Max summed exponent vector, or None for the zero polynomial."""
         return max((sum(_unpack(k)) for k in self._num), default=None)
 
-    def coefficient(self, exps: Exponents) -> GaussRat:
-        key, den = _pack(exps), self._den
-        return _gauss(Fraction(self._num.get(key, 0), den),
-                      Fraction(self._num.get(key | _I, 0), den))
+    def coefficient(self, exps: Exponents) -> "MPoly":
+        """The coefficient of one monomial, as a degree-0 polynomial."""
+        key = _pack(exps)
+        return _make({k - key: self._num[k] for k in (key, key | _I) if k in self._num},
+                     self._den)
 
     def __add__(self, other: PolyInput) -> "MPoly":
         big, small = self, MPoly.coerce(other)
@@ -179,12 +251,9 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def scale(self, value: GaussInput) -> "MPoly":
+    def scale(self, value: Scalar) -> "MPoly":
         if type(value) is not int:
-            z = as_gauss(value)
-            if z.im:
-                return _product(self, MPoly.constant(z))
-            value = z.re
+            value = as_rat(value)
         p = value.numerator
         return _make({k: c * p for k, c in self._num.items()}, self._den * value.denominator)
 
@@ -222,21 +291,17 @@ class MPoly:
         return (_make({k: c for k, c in items if k < _I}, self._den),
                 _make({k - _I: c for k, c in items if k >= _I}, self._den))
 
-    def evaluate(self, bindings: Mapping[str, GaussInput]) -> GaussRat:
-        """Exact evaluation; every variable occurring in self must be bound."""
-        # Complex values are substituted; real ones sum as integers over one denominator.
-        values = {_shift(name): as_gauss(value) for name, value in bindings.items()}
-        poly = self
-        for shift, z in values.items():
-            if z.im:
-                poly = poly.substitute(VARIABLES[shift // _W], MPoly.constant(z))
-        nums, den, tables = poly._num, poly._den, []
+    def evaluate(self, bindings: Mapping[str, Scalar]) -> GaussRat:
+        """Exact evaluation at rational values; every variable occurring in self
+        must be bound.  For a complex point, substitute ``re + im * MPoly.I`` first."""
+        values = {_shift(name): as_rat(value) for name, value in bindings.items()}
+        nums, den, tables = self._num, self._den, []
         for shift in range(0, 4 * _W, _W):
             top = max((k >> shift & _FIELD for k in nums), default=0)
             if top and shift not in values:
                 raise ValueError(f"unbound variable {VARIABLES[shift // _W]!r} in evaluation")
             if top:
-                a, q = values[shift].re.numerator, values[shift].re.denominator
+                a, q = values[shift].numerator, values[shift].denominator
                 # a^e * q^(top - e) is value^e over the denominator q^top.
                 tables.append((shift, [a ** e * q ** (top - e) for e in range(top + 1)]))
                 den *= q ** top
@@ -248,8 +313,6 @@ class MPoly:
         return _gauss(Fraction(sums[0], den), Fraction(sums[1], den))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, GaussRat)) and not isinstance(other, bool):
-            other = MPoly.constant(other)
         if not isinstance(other, MPoly):
             return NotImplemented
         return self._den == other._den and self._num == other._num
@@ -271,12 +334,12 @@ class MPoly:
                 for name, power in zip(VARIABLES, exps)
                 if power
             )
-            if coeff.is_real():
+            if not coeff.im:
                 mag = format_rat(abs(coeff.re))
                 body = (mono if mag == "1" else f"{mag}*{mono}") if mono else mag
                 sign = "-" if coeff.re < 0 else "+"
             else:
-                sign, body = "+", f"({format_gauss(coeff)})" + (f"*{mono}" if mono else "")
+                sign, body = "+", f"({coeff})" + (f"*{mono}" if mono else "")
             out.append(f" {sign} {body}" if out else ("-" if sign == "-" else "") + body)
         return "".join(out) or "0"
 
@@ -289,3 +352,4 @@ class MPoly:
 
 _ZERO = _wrap({}, 1)
 _ONE = _wrap({0: 1}, 1)
+MPoly.I = _wrap({_I: 1}, 1)

@@ -17,8 +17,7 @@ from degenpoly.combinat import StirlingKind, falling_factorial, stirling_table
 from degenpoly.families import (
     FamilyKind,
     classical_kernel_series,
-    complex_bernoulli_series,
-    complex_euler_series,
+    complex_series,
     family,
     family_closed,
 )
@@ -112,8 +111,8 @@ def test_criterion_3_route_equivalence():
 
 
 def test_criterion_4_decomposition():
-    ce = complex_euler_series(N_MAX)
-    cb = complex_bernoulli_series(N_MAX)
+    ce = complex_series("euler", N_MAX)
+    cb = complex_series("bernoulli", N_MAX)
     cos_e = family(FamilyKind.DEG_COS_EULER, N_MAX)
     sin_e = family(FamilyKind.DEG_SIN_EULER, N_MAX)
     cos_b = family(FamilyKind.DEG_COS_BERNOULLI, N_MAX)

@@ -5,11 +5,10 @@ import pytest
 from degenpoly.combinat import gen_falling_factorial
 from degenpoly.families import (
     FamilyKind,
-    SINE_KINDS,
     classical_family,
     classical_kernel_series,
-    complex_bernoulli,
     complex_euler,
+    complex_series,
     deg_cos_sin_series,
     deg_exp_series,
     family,
@@ -18,11 +17,11 @@ from degenpoly.families import (
     trig_stirling_rows,
 )
 from degenpoly.multipoly import MPoly
-from degenpoly.numeric import GaussRat
 
 L = MPoly.variable("l")
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
+I = MPoly.I
 
 N = 8
 
@@ -75,7 +74,7 @@ def test_deg_cos_sin_closed_matches_series():
 def test_trig_stirling_rows_are_parts_of_factorial_at_iy():
     # The cos/sin rows are built from the first-kind Stirling table; they must
     # be the real and imaginary parts of (iy)_{m,l} = prod_j (iy - j*l).
-    iy = Y.scale(GaussRat(0, 1))
+    iy = Y * I
     cos_rows, sin_rows = trig_stirling_rows("cos", 14), trig_stirling_rows("sin", 14)
     for m in range(15):
         assert (cos_rows[m], sin_rows[m]) == gen_falling_factorial(iy, m).split_real_imag()
@@ -113,7 +112,7 @@ def test_family_examples():
 
 
 def test_sine_families_start_at_zero():
-    for kind in SINE_KINDS:
+    for kind in (FamilyKind.DEG_SINE, FamilyKind.DEG_SIN_EULER, FamilyKind.DEG_SIN_BERNOULLI):
         assert family(kind, N)[0].is_zero()
 
 
@@ -167,20 +166,20 @@ def test_y_zero_collapse():
 
 
 def test_complex_euler_low_degrees():
-    i = GaussRat(0, 1)
     assert complex_euler(0, 4) == MPoly.one()
     e1 = complex_euler(1, 4)
-    assert e1 == X + Y.scale(i) - MPoly.constant(Fraction(1, 2))
+    assert e1 == X + Y * I - MPoly.constant(Fraction(1, 2))
+    assert e1 == complex_series("euler", 4).coefficient(1)
     re, im = e1.split_real_imag()
     assert re == X - MPoly.constant(Fraction(1, 2))
     assert im == Y
 
 
 def test_complex_bernoulli_low_degrees():
-    i = GaussRat(0, 1)
-    assert complex_bernoulli(0, 4) == MPoly.one()
-    b1 = complex_bernoulli(1, 4)
-    assert b1 == X + Y.scale(i) + (L - 1).scale(Fraction(1, 2))
+    series = complex_series("bernoulli", 4)
+    assert series.coefficient(0) == MPoly.one()
+    b1 = series.coefficient(1)
+    assert b1 == X + Y * I + (L - 1).scale(Fraction(1, 2))
     _, im = b1.split_real_imag()
     assert im == Y
 

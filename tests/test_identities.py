@@ -167,7 +167,7 @@ def test_each_check_reads_its_own_family(monkeypatch, kind):
         if asked is not kind:
             return seq
         r = MPoly.variable("r")
-        return FamilySequence(asked, order, tuple(p + r for p in seq.polys))
+        return FamilySequence(tuple(p + r for p in seq.polys))
 
     monkeypatch.setattr(identities, "family", perturbed)
     reports, _ = IdentityEngine(4, 6).verify_all()

@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from degenpoly.multipoly import MPoly, VARIABLES
-from degenpoly.numeric import GaussRat
+from degenpoly.multipoly import GaussRat, MPoly, VARIABLES
 
 L = MPoly.variable("l")
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
-I = GaussRat(0, 1)
+I = MPoly.I
 
 
 def test_mul_distributes():
@@ -23,8 +22,8 @@ def test_cancellation_gives_empty_map():
 
 
 def test_scale_by_i():
-    p = (X + Y.scale(I)).scale(I)
-    assert p == X.scale(I) - Y
+    p = (X + Y * I) * I
+    assert p == X * I - Y
 
 
 def test_substitute_lambda_zero():
@@ -51,7 +50,7 @@ def test_substitute_identity():
 
 
 def test_split_real_imag_examples():
-    p = X.scale(I) - Y
+    p = X * I - Y
     pre, pim = p.split_real_imag()
     assert pre == -Y and pim == X
 
@@ -62,7 +61,7 @@ def test_split_real_imag_examples():
 
 def test_split_of_norm_product():
     # (x + iy)(x - iy) expands to x^2 + y^2 with no imaginary residue.
-    p = (X + Y.scale(I)) * (X - Y.scale(I))
+    p = (X + Y * I) * (X - Y * I)
     assert p == X * X + Y * Y
     pre, pim = p.split_real_imag()
     assert pre == p and pim.is_zero()
@@ -73,7 +72,7 @@ def test_split_round_trip():
     for _ in range(30):
         p = _random_poly(rng, complex_coeffs=True)
         pre, pim = p.split_real_imag()
-        assert pre + pim.scale(I) == p
+        assert pre + pim * I == p
 
 
 def test_eval_examples():
@@ -88,13 +87,12 @@ def test_eval_unbound_variable_is_error():
 
 
 def _random_poly(rng, complex_coeffs=False, max_terms=4):
-    terms = {}
+    re_terms, im_terms = {}, {}
     for _ in range(rng.randint(0, max_terms)):
         exps = tuple(rng.randint(0, 2) for _ in range(4))
-        re = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        im = Fraction(rng.randint(-5, 5)) if complex_coeffs else 0
-        terms[exps] = GaussRat(re, im)
-    return MPoly(terms)
+        re_terms[exps] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        im_terms[exps] = Fraction(rng.randint(-5, 5)) if complex_coeffs else 0
+    return MPoly(re_terms) + MPoly(im_terms) * I
 
 
 def test_ring_axioms_on_random_polys():
@@ -125,7 +123,8 @@ def test_canonical_text_form():
     assert p.to_text() == "x^2 - 1/2*l*x - y^2"
     assert MPoly.zero().to_text() == "0"
     assert (-X).to_text() == "-x"
-    assert (X.scale(I)).to_text() == "(0+1*i)*x"
+    assert (X * I).to_text() == "(0+1*i)*x"
+    assert (I.scale(Fraction(-1, 2)) + 3).to_text() == "(3-1/2*i)"
 
 
 def test_unknown_variable_rejected():
@@ -142,10 +141,13 @@ def test_malformed_exponent_vector_rejected(exps):
         MPoly({exps: 1})
 
 
-@pytest.mark.parametrize("bad", [0.5, True])
+@pytest.mark.parametrize("bad", [0.5, True, GaussRat(0, 1), "1/2"])
 def test_inexact_and_bool_coefficients_rejected(bad):
+    # Scalars entering the ring are int or Fraction; i enters as MPoly.I.
     with pytest.raises(TypeError):
         MPoly({(0, 0, 0, 0): bad})
+    with pytest.raises(TypeError):
+        MPoly.constant(bad)
     with pytest.raises(TypeError):
         X.scale(bad)
     with pytest.raises(TypeError):
@@ -167,11 +169,29 @@ def test_exponent_overflow_is_an_error():
 
 
 def test_terms_view_merges_real_and_imaginary_parts():
-    p = (X + Y.scale(I)).scale(Fraction(1, 2)) + X * L
+    p = (X + Y * I).scale(Fraction(1, 2)) + X * L
     assert p.terms == {
         (0, 1, 0, 0): GaussRat(Fraction(1, 2)),
         (0, 0, 1, 0): GaussRat(0, Fraction(1, 2)),
         (1, 1, 0, 0): GaussRat(1),
     }
     assert p.terms is not p.terms
-    assert p.coefficient((0, 0, 1, 0)) == GaussRat(0, Fraction(1, 2))
+    assert p.coefficient((0, 0, 1, 0)) == I.scale(Fraction(1, 2))
+    assert p.coefficient((1, 1, 0, 0)) == MPoly.one()
+    assert p.coefficient((0, 0, 0, 1)) == MPoly.zero()
+
+
+def test_i_is_a_ring_element():
+    assert I.terms == {(0, 0, 0, 0): GaussRat(0, 1)}
+    assert I.total_degree() == 0
+    assert I.split_real_imag() == (MPoly.zero(), MPoly.one())
+    assert I ** 4 == MPoly.one() and I ** 3 == -I
+
+
+def test_only_polynomials_equal_polynomials():
+    # Equal objects must hash equal, so a polynomial never equals a scalar.
+    assert MPoly.one() != 1 and 1 != MPoly.one()
+    assert MPoly.zero() != 0
+    assert MPoly.constant(Fraction(1, 2)) != Fraction(1, 2)
+    assert len({MPoly.one(), 1}) == 2
+    assert MPoly.constant(Fraction(2, 4)) == MPoly.constant(Fraction(1, 2))
