@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .multipoly import MPoly, PolyInput, Scalar
+from .multipoly import MPoly, PolyInput, Scalar, sum_products
 
 
 class EgfSeries:
@@ -66,17 +66,11 @@ class EgfSeries:
 
     def __mul__(self, other: "EgfSeries") -> "EgfSeries":
         self._check_order(other)
-        out = []
-        for n in range(self._order + 1):
-            acc = MPoly.zero()
-            for k in range(n + 1):
-                a = self._coeffs[k]
-                b = other._coeffs[n - k]
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + (a * b).scale(math.comb(n, k))
-            out.append(acc)
-        return EgfSeries(self._order, out)
+        a, b = self._coeffs, other._coeffs
+        return EgfSeries(self._order, [
+            sum_products((math.comb(n, k), a[k], b[n - k]) for k in range(n + 1))
+            for n in range(self._order + 1)
+        ])
 
     def scale(self, value: Scalar) -> "EgfSeries":
         return EgfSeries(self._order, [c.scale(value) for c in self._coeffs])
@@ -88,15 +82,9 @@ class EgfSeries:
         """
         if self._coeffs[0] != MPoly.one():
             raise ValueError("series inversion requires constant coefficient 1")
-        inv = [MPoly.one()]
+        a, inv = self._coeffs, [MPoly.one()]
         for n in range(1, self._order + 1):
-            acc = MPoly.zero()
-            for k in range(1, n + 1):
-                a = self._coeffs[k]
-                if a.is_zero():
-                    continue
-                acc = acc + (a * inv[n - k]).scale(math.comb(n, k))
-            inv.append(-acc)
+            inv.append(sum_products((-math.comb(n, k), a[k], inv[n - k]) for k in range(1, n + 1)))
         return EgfSeries(self._order, inv)
 
     def __eq__(self, other: object) -> bool:

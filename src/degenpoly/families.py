@@ -23,7 +23,7 @@ from typing import Sequence, Tuple
 
 from .combinat import StirlingKind, gen_falling_factorial, stirling_table
 from .egfseries import EgfSeries
-from .multipoly import MPoly, PolyInput
+from .multipoly import MPoly, PolyInput, sum_products
 
 
 class FamilyKind(enum.Enum):
@@ -145,8 +145,8 @@ def trig_stirling_rows(trig: str, order: int) -> Tuple[MPoly, ...]:
     j even (cos) or odd (sin), read from the first-kind Stirling table."""
     s1 = stirling_table(StirlingKind.FIRST, order)
     return tuple(
-        sum((s1.entry(m, j) * MPoly({(m - j, 0, j, 0): (-1) ** (j // 2)})
-             for j in range(0 if trig == "cos" else 1, m + 1, 2)), MPoly.zero())
+        sum_products(((-1) ** (j // 2), s1.entry(m, j), MPoly({(m - j, 0, j, 0): 1}))
+                     for j in range(0 if trig == "cos" else 1, m + 1, 2))
         for m in range(order + 1)
     )
 
@@ -159,9 +159,7 @@ def trig_stirling_sum(trig: str, n: int, inner: Sequence[MPoly], order: int) -> 
     into the rows T_m of ``trig_stirling_rows`` and the sum taken as
     sum_m binom(n, m) T_m inner[n-m]."""
     rows = trig_stirling_rows(trig, order)
-    return sum(
-        ((rows[m] * inner[n - m]).scale(math.comb(n, m)) for m in range(n + 1)), MPoly.zero()
-    )
+    return sum_products((math.comb(n, m), rows[m], inner[n - m]) for m in range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -177,15 +175,11 @@ def family_closed(kind: FamilyKind, order: int) -> FamilySequence:
             FamilyKind.DEG_BERNOULLI_NUM if kernel == "bernoulli" else FamilyKind.DEG_EULER_NUM,
             order,
         )
-        polys = []
-        for n in range(order + 1):
-            acc = MPoly.zero()
-            for l in range(n + 1):
-                acc = acc + (
-                    nums[l] * gen_falling_factorial(xv, n - l)
-                ).scale(math.comb(n, l))
-            polys.append(acc)
-        return FamilySequence(tuple(polys))
+        return FamilySequence(tuple(
+            sum_products((math.comb(n, l), nums[l], gen_falling_factorial(xv, n - l))
+                         for l in range(n + 1))
+            for n in range(order + 1)
+        ))
     if kernel is None:
         inner = [gen_falling_factorial(xv, n) for n in range(order + 1)]
     else:

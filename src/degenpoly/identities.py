@@ -46,7 +46,7 @@ from .families import (
     kernel_series,
     trig_stirling_sum,
 )
-from .multipoly import MPoly
+from .multipoly import MPoly, sum_products
 
 # The family whose defining product is kernel x e_l^x(t) x trig, by (kernel, trig).
 _KIND = {(kernel, trig): kind for kind, (kernel, uses_x, trig) in _STRUCTURE.items() if uses_x}
@@ -64,9 +64,9 @@ class _BuildOnMiss(dict):
         return value
 
 
-def _binom_sum(n: int, term: Callable[[int], MPoly]) -> MPoly:
-    """sum_{k=0}^n binom(n, k) term(k)."""
-    return sum((term(k).scale(math.comb(n, k)) for k in range(n + 1)), MPoly.zero())
+def _binom_sum(n: int, term: Callable[[int], Tuple[MPoly, MPoly]]) -> MPoly:
+    """sum_{k=0}^n binom(n, k) a_k b_k, where term(k) is the pair (a_k, b_k)."""
+    return sum_products((math.comb(n, k), *term(k)) for k in range(n + 1))
 
 
 class IdentityReport:
@@ -133,12 +133,9 @@ class IdentityEngine:
         # U_k = sum_{l<=k} S2_deg(k, l) (x)_l for k = 0..order, from the Stirling
         # table.  U_k equals (x)_{k,l}, but building it that way would let T7
         # and E63 check the generating-function route against itself.
-        xv = MPoly.variable("x")
-        return [
-            sum((self.stirling2_deg.entry(k, l) * falling_factorial(xv, l)
-                 for l in range(k + 1)), MPoly.zero())
-            for k in range(self.order + 1)
-        ]
+        xv, s2 = MPoly.variable("x"), self.stirling2_deg
+        return [sum_products((1, s2.entry(k, l), falling_factorial(xv, l)) for l in range(k + 1))
+                for k in range(self.order + 1)]
 
     @cached_property
     def complex_euler(self):
@@ -170,8 +167,8 @@ class IdentityEngine:
         xiy = MPoly.variable("x") + iy
         euler, nums = self.polys[FamilyKind.DEG_EULER], self.x0[FamilyKind.DEG_EULER]
         lhs = self.complex_euler[n]
-        rhs1 = _binom_sum(n, lambda l: gen_falling_factorial(iy, n - l) * euler[l])
-        rhs2 = _binom_sum(n, lambda l: gen_falling_factorial(xiy, n - l) * nums[l])
+        rhs1 = _binom_sum(n, lambda l: (gen_falling_factorial(iy, n - l), euler[l]))
+        rhs2 = _binom_sum(n, lambda l: (gen_falling_factorial(xiy, n - l), nums[l]))
         return self._simple(tag, n, [lhs - rhs1, lhs - rhs2])
 
     def _t1_conj(self, tag, n):
@@ -179,12 +176,11 @@ class IdentityEngine:
         iy_minus_x = iy - MPoly.variable("x")
         euler, nums = self.polys[FamilyKind.DEG_EULER], self.x0[FamilyKind.DEG_EULER]
         lhs = self.conj_euler[n]
-        rhs1 = MPoly.zero()
-        rhs2 = MPoly.zero()
-        for l in range(n + 1):
-            b = math.comb(n, l) * (-1) ** (n - l)
-            rhs1 = rhs1 + (gen_rising_factorial(iy, n - l) * euler[l]).scale(b)
-            rhs2 = rhs2 + (gen_rising_factorial(iy_minus_x, n - l) * nums[l]).scale(b)
+        signed = [math.comb(n, l) * (-1) ** (n - l) for l in range(n + 1)]
+        rhs1 = sum_products((b, gen_rising_factorial(iy, n - l), euler[l])
+                            for l, b in enumerate(signed))
+        rhs2 = sum_products((b, gen_rising_factorial(iy_minus_x, n - l), nums[l])
+                            for l, b in enumerate(signed))
         return self._simple(tag, n, [lhs - rhs1, lhs - rhs2])
 
     def _route_pair(self, tag, n, trig):
@@ -197,14 +193,14 @@ class IdentityEngine:
         kind = _KIND[kernel, trig]
         lhs = self.polys[kind][n]
         nums, trig_polys = self.x0[_KIND[kernel, None]], self.polys[_KIND[None, trig]]
-        conv = _binom_sum(n, lambda k: nums[k] * trig_polys[n - k])
+        conv = _binom_sum(n, lambda k: (nums[k], trig_polys[n - k]))
         closed = family_closed(kind, self.order)[n]
         return self._simple(tag, n, [lhs - conv, lhs - closed])
 
     def _t4(self, tag, n, trig):
         euler_family = self.polys[_KIND["euler", trig]]
         lhs = self.polys[_KIND[None, trig]][n]
-        acc = _binom_sum(n, lambda l: gen_falling_factorial(1, n - l) * euler_family[l])
+        acc = _binom_sum(n, lambda l: (gen_falling_factorial(1, n - l), euler_family[l]))
         rhs = (acc + euler_family[n]).scale(Fraction(1, 2))
         return self._simple(tag, n, [lhs - rhs])
 
@@ -212,7 +208,7 @@ class IdentityEngine:
         polys = self.polys[_KIND[kernel, trig]]
         rv = MPoly.variable("r")
         lhs = polys[n].substitute("x", MPoly.variable("x") + rv)
-        rhs = _binom_sum(n, lambda l: polys[l] * gen_falling_factorial(rv, n - l))
+        rhs = _binom_sum(n, lambda l: (polys[l], gen_falling_factorial(rv, n - l)))
         return self._simple(tag, n, [lhs - rhs])
 
     def _reflect(self, tag, n, trig, kernel):
@@ -233,11 +229,9 @@ class IdentityEngine:
     def _c10(self, tag, n, trig):
         bern_family = self.polys[_KIND["bernoulli", trig]]
         lhs = self.polys[_KIND[None, trig]][n].scale(n + 1)
-        rhs = MPoly.zero()
-        for l in range(n + 1):
-            rhs = rhs + (
-                bern_family[l] * gen_falling_factorial(1, n + 1 - l)
-            ).scale(math.comb(n + 1, l))
+        rhs = sum_products(
+            (math.comb(n + 1, l), bern_family[l], gen_falling_factorial(1, n + 1 - l))
+            for l in range(n + 1))
         return self._simple(tag, n, [lhs - rhs])
 
     def _e61_e62(self, tag, n):
@@ -256,11 +250,10 @@ class IdentityEngine:
         S2_deg from the degenerate second-kind Stirling table.
         """
         if binom_of == "k":
-            return _binom_sum(n, lambda k: self._u_table[k] * y_polys[n - k])
-        xv = MPoly.variable("x")
-        s2 = self.stirling2_deg
-        return _binom_sum(n, lambda l: falling_factorial(xv, l) * sum(
-            (s2.entry(k, l) * y_polys[n - k] for k in range(l, n + 1)), MPoly.zero()))
+            return _binom_sum(n, lambda k: (self._u_table[k], y_polys[n - k]))
+        xv, s2 = MPoly.variable("x"), self.stirling2_deg
+        return _binom_sum(n, lambda l: (falling_factorial(xv, l), sum_products(
+            (1, s2.entry(k, l), y_polys[n - k]) for k in range(l, n + 1))))
 
     def _t7(self, tag, n, trig):
         # Theorem 7's two displays disagree on the binomial index (n over l

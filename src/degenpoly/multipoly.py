@@ -13,6 +13,9 @@ monomial product is one integer addition, with i^2 = -1 reduced inside the
 multiply.  The top bit of each field is a guard: exponents below 2**15 add
 without carrying, so an overflowing product is caught exactly (ValueError).
 
+A sum of products ``sum c*a*b`` is one ``sum_products`` call: every term pair
+goes into one dict of numerators, canonicalized once; ``*`` shares its pair loop.
+
 ``i`` is a ring element, ``MPoly.I``: a complex scalar is a degree-0
 polynomial such as ``re + im * MPoly.I``.  Scalars entering the ring
 (``MPoly({exps: c})``, ``constant``, ``scale`` and the bindings of
@@ -28,7 +31,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 VARIABLES = ("l", "x", "y", "r")
 
@@ -144,27 +147,47 @@ def _make(nums: Dict[int, int], den: int) -> "MPoly":
     return _wrap(nums, den)
 
 
-def _product(a: "MPoly", b: "MPoly") -> "MPoly":
-    outer, inner = a._num, b._num
-    if len(outer) > len(inner):
-        outer, inner = inner, outer
+def _accumulate(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int], m: int) -> None:
+    """Add m times the product of the numerator dicts a and b into ``out``."""
+    outer, inner = (a, b) if len(a) <= len(b) else (b, a)
     if not outer:
-        return _ZERO
-    # Field j of an OR of keys bounds the exponents in field j, so a product
-    # can overflow only if the two ORs' fields add up to a guard bit.
-    bound = reduce(or_, outer) + reduce(or_, inner)
+        return
     plain = list(inner.items())
     # Partners of an outer term with i: i*i = -1 clears the i bit and flips the sign.
     turned = [(k - 2 * _I, -c) if k >= _I else (k, c) for k, c in plain]
-    out: Dict[int, int] = {}
     get = out.get
     for k1, c1 in outer.items():
+        c1 *= m
         for k2, c2 in turned if k1 >= _I else plain:
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
-    if bound & _GUARDS and any(k & _GUARDS for k in out):
+    # Field j of an OR of keys bounds the exponents in field j, so a product
+    # can overflow only if the two ORs' fields add up to a guard bit.  Keys
+    # already in ``out`` passed this check, so a guard bit is this product's.
+    if (reduce(or_, outer) + reduce(or_, inner)) & _GUARDS and any(k & _GUARDS for k in out):
         raise ValueError(f"exponent overflow: a product has an exponent >= {_LIMIT}")
+
+
+def _product(a: "MPoly", b: "MPoly") -> "MPoly":
+    out: Dict[int, int] = {}
+    _accumulate(out, a._num, b._num, 1)
     return _make(out, a._den * b._den)
+
+
+def sum_products(items: Iterable[Tuple[Scalar, "MPoly", "MPoly"]]) -> "MPoly":
+    """sum c*a*b over (c, a, b) triples, in one dict of numerators over
+    D = lcm(a._den * b._den * c.denominator), canonicalized once: the numerators
+    of each a*b are multiplied by c.numerator * D // that term's denominator."""
+    terms = []
+    for c, a, b in items:
+        if type(c) is not int:
+            c = as_rat(c)
+        terms.append((c.numerator, a._den * b._den * c.denominator, a._num, b._num))
+    den = lcm(*(d for _, d, _, _ in terms))
+    out: Dict[int, int] = {}
+    for p, d, a, b in terms:
+        _accumulate(out, a, b, p * (den // d))
+    return _make(out, den)
 
 
 class MPoly:
@@ -277,13 +300,13 @@ class MPoly:
         for k, c in self._num.items():
             e = k >> shift & _FIELD
             groups.setdefault(e, {})[k - (e << shift)] = c
-        result, power, done = _ZERO, _ONE, 0
+        terms, power, done = [], _ONE, 0
         for e in sorted(groups):
             for _ in range(e - done):
                 power = power * replacement
             done = e
-            result = result + _make(groups[e], self._den) * power
-        return result
+            terms.append((1, _wrap(groups[e], self._den), power))
+        return sum_products(terms)
 
     def split_real_imag(self) -> Tuple["MPoly", "MPoly"]:
         """Return (p_re, p_im) with p = p_re + i*p_im, both real-coefficient."""

@@ -23,8 +23,8 @@ from degenpoly.families import (
 )
 from degenpoly.multipoly import MPoly
 
-N_MAX = 12
-ORDER = 14
+N_MAX = 20
+ORDER = 22
 
 VERIFY_ARGS = [
     sys.executable, "-m", "degenpoly",
@@ -66,7 +66,7 @@ def test_criterion_1_identity_suite(verify_runs):
             ok = ok and r["verdict"] == "holds"
         ok = ok and r["residual"] == "0"
     ok = ok and elapsed < 60.0
-    _report(1, "identity suite (all tags, n <= 12, order 14)", ok)
+    _report(1, f"identity suite (all tags, n <= {N_MAX}, order {ORDER})", ok)
 
 
 def test_criterion_2_classical_limits():
@@ -123,7 +123,7 @@ def test_criterion_4_decomposition():
         b_re, b_im = cb.coefficient(n).split_real_imag()
         ok = ok and e_re == cos_e[n] and e_im == sin_e[n]
         ok = ok and b_re == cos_b[n] and b_im == sin_b[n]
-    _report(4, "real/imaginary decomposition for n <= 12", ok)
+    _report(4, f"real/imaginary decomposition for n <= {N_MAX}", ok)
 
 
 def test_criterion_5_stirling_reconstruction():

@@ -9,10 +9,11 @@ same result through both.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenpoly.multipoly import VARIABLES, MPoly
+from degenpoly.multipoly import VARIABLES, GaussRat, MPoly, sum_products
 
 ZERO = (Fraction(0), Fraction(0))
 
@@ -22,6 +23,7 @@ exponents = st.tuples(*[st.integers(0, 3)] * 4)
 ref_polys = st.dictionaries(exponents, gaussians, max_size=6).map(
     lambda terms: {e: c for e, c in terms.items() if c != ZERO}
 )
+scalars = st.integers(-3, 3) | rationals
 points = st.fixed_dictionaries({name: gaussians for name in VARIABLES})
 
 ring_settings = settings(max_examples=100, deadline=None)
@@ -56,6 +58,13 @@ def r_mul(p, q):
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = c_add(out.get(e, ZERO), c_mul(c1, c2))
     return {e: c for e, c in out.items() if c != ZERO}
+
+
+def r_sum_products(triples):
+    out = {}
+    for c, p, q in triples:
+        out = r_add(out, r_scale(r_mul(p, q), (Fraction(c), Fraction(0))))
+    return out
 
 
 def r_substitute(p, idx, q):
@@ -152,3 +161,49 @@ def test_equal_polynomials_hash_equal(p, q, s):
     assert all(r == routes[0] for r in routes)
     assert len({hash(r) for r in routes}) == 1
     assert_same(routes[0], r_mul(r_add(p, q), s))
+
+
+@ring_settings
+@given(st.lists(st.tuples(scalars, ref_polys, ref_polys), max_size=5))
+def test_sum_products(triples):
+    items = [(c, to_mpoly(p), to_mpoly(q)) for c, p, q in triples]
+    fused = sum_products(items)
+    assert_same(fused, r_sum_products(triples))
+    stepwise = sum(((a * b).scale(c) for c, a, b in items), MPoly.zero())
+    assert fused == stepwise and hash(fused) == hash(stepwise)
+
+
+def test_sum_products_of_nothing_is_zero():
+    assert sum_products([]) == MPoly.zero() and sum_products(iter(())).is_zero()
+
+
+# Exponents at the edges of the 15-bit field: 2^14 + 2^14 overflows, 2^14 - 1 + 2^14 does not.
+edge_exponents = st.tuples(*[st.sampled_from([0, 1, 2 ** 14 - 1, 2 ** 14, 2 ** 15 - 1])] * 4)
+edge_polys = st.builds(
+    lambda terms, turn: MPoly(terms) * (MPoly.I if turn else MPoly.one()),
+    st.dictionaries(edge_exponents, st.integers(-2, 2).filter(bool), max_size=3),
+    st.booleans(),
+)
+
+
+@ring_settings
+@given(st.lists(st.tuples(scalars, edge_polys, edge_polys), max_size=4))
+def test_sum_products_overflows_exactly_when_a_product_would(triples):
+    overflows = any(
+        max(u + v for u, v in zip(e1, e2)) >= 2 ** 15
+        for _, a, b in triples for e1 in a.terms for e2 in b.terms
+    )
+    if overflows:
+        with pytest.raises(ValueError, match="overflow"):
+            sum_products(triples)
+    else:
+        assert sum_products(triples) == sum(
+            ((a * b).scale(c) for c, a, b in triples), MPoly.zero())
+
+
+@pytest.mark.parametrize("bad", [0.0, 0.5, False, True, "1", GaussRat(1)], ids=repr)
+def test_sum_products_rejects_inexact_scalars(bad):
+    x = MPoly.variable("x")
+    for operands in ((x, x), (MPoly.zero(), x)):
+        with pytest.raises(TypeError):
+            sum_products([(1, x, x), (bad, *operands)])

@@ -12,11 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from degenpoly.families import FamilyKind, classical_family, family
+from degenpoly.families import FamilyKind, classical_family, family, kernel_series
 
 sympy = pytest.importorskip("sympy")
 
 X, Y = sympy.symbols("x y", real=True)
+L = sympy.Symbol("l")
 T = sympy.Symbol("t")
 
 
@@ -84,3 +85,22 @@ def test_degenerate_numbers_at_rational_l(kind, kernel, lam):
         expected = rat(series.coeff(T, n) * sympy.factorial(n))
         value = nums[n].evaluate({"l": lam})
         assert (value.re, value.im) == (expected, 0), n
+
+
+@pytest.mark.parametrize("which, kernel", [
+    ("bernoulli", lambda e: T / (e - 1)),
+    ("euler", lambda e: 2 / (e + 1)),
+], ids=["bernoulli", "euler"])
+def test_degenerate_kernels_at_symbolic_l(which, kernel):
+    # The coefficients of kernel_series are the inverses EgfSeries.invert
+    # builds; sympy expands the kernel at e = (1 + l t)^(1/l) with l a symbol.
+    order = 6
+    series = sympy.series(kernel((1 + L * T) ** (1 / L)), T, 0, order + 1).removeO()
+    coeffs = kernel_series(which, order)
+    for n in range(order + 1):
+        expected = sympy.Poly(sympy.simplify(series.coeff(T, n) * sympy.factorial(n)), L)
+        actual = {}
+        for (el, ex, ey, er), z in coeffs.coefficient(n).terms.items():
+            assert ex == ey == er == 0 and z.im == 0
+            actual[el] = z.re
+        assert actual == {el: rat(c) for (el,), c in expected.terms() if c}, n
