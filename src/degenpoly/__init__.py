@@ -1,7 +1,7 @@
 """Exact-arithmetic construction and verification of degenerate
 Bernoulli/Euler polynomial families and their cosine/sine variants."""
 
-from .multipoly import GaussRat, MPoly, VARIABLES, as_rat, format_rat
+from .multipoly import MPoly, VARIABLES, as_rat
 from .egfseries import EgfSeries
 from .combinat import (
     StirlingKind,
@@ -37,7 +37,6 @@ __all__ = [
     "EgfSeries",
     "FamilyKind",
     "FamilySequence",
-    "GaussRat",
     "IdentityEngine",
     "IdentityId",
     "IdentityReport",
@@ -54,7 +53,6 @@ __all__ = [
     "falling_factorial",
     "family",
     "family_closed",
-    "format_rat",
     "gen_falling_factorial",
     "gen_rising_factorial",
     "kernel_series",

@@ -69,8 +69,7 @@ class StirlingTable:
     kind entries are polynomials in l.
     """
 
-    def __init__(self, kind: StirlingKind, rows: Tuple[Tuple[MPoly, ...], ...]):
-        self.kind = kind
+    def __init__(self, rows: Tuple[Tuple[MPoly, ...], ...]):
         self._rows = rows
 
     @property
@@ -99,7 +98,7 @@ class StirlingTable:
             )
         else:  # pragma: no cover
             raise ValueError(f"unknown kind {kind}")
-        return cls(kind, rows)
+        return cls(rows)
 
     @staticmethod
     def _build_first(n_max):

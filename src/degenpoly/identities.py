@@ -125,25 +125,14 @@ class IdentityEngine:
         return _BuildOnMiss(lambda kind: [p.substitute("x", 0) for p in self.polys[kind]])
 
     @cached_property
-    def stirling2_deg(self):
-        return stirling_table(StirlingKind.DEGENERATE_SECOND, self.order)
-
-    @cached_property
     def _u_table(self) -> List[MPoly]:
         # U_k = sum_{l<=k} S2_deg(k, l) (x)_l for k = 0..order, from the Stirling
         # table.  U_k equals (x)_{k,l}, but building it that way would let T7
         # and E63 check the generating-function route against itself.
-        xv, s2 = MPoly.variable("x"), self.stirling2_deg
+        xv = MPoly.variable("x")
+        s2 = stirling_table(StirlingKind.DEGENERATE_SECOND, self.order)
         return [sum_products((1, s2.entry(k, l), falling_factorial(xv, l)) for l in range(k + 1))
                 for k in range(self.order + 1)]
-
-    @cached_property
-    def complex_euler(self):
-        return complex_series("euler", self.order).coeffs
-
-    @cached_property
-    def complex_bernoulli(self):
-        return complex_series("bernoulli", self.order).coeffs
 
     @cached_property
     def conj_euler(self):
@@ -166,7 +155,7 @@ class IdentityEngine:
         iy = MPoly.variable("y") * MPoly.I
         xiy = MPoly.variable("x") + iy
         euler, nums = self.polys[FamilyKind.DEG_EULER], self.x0[FamilyKind.DEG_EULER]
-        lhs = self.complex_euler[n]
+        lhs = complex_series("euler", self.order).coefficient(n)
         rhs1 = _binom_sum(n, lambda l: (gen_falling_factorial(iy, n - l), euler[l]))
         rhs2 = _binom_sum(n, lambda l: (gen_falling_factorial(xiy, n - l), nums[l]))
         return self._simple(tag, n, [lhs - rhs1, lhs - rhs2])
@@ -251,7 +240,8 @@ class IdentityEngine:
         """
         if binom_of == "k":
             return _binom_sum(n, lambda k: (self._u_table[k], y_polys[n - k]))
-        xv, s2 = MPoly.variable("x"), self.stirling2_deg
+        xv = MPoly.variable("x")
+        s2 = stirling_table(StirlingKind.DEGENERATE_SECOND, self.order)
         return _binom_sum(n, lambda l: (falling_factorial(xv, l), sum_products(
             (1, s2.entry(k, l), y_polys[n - k]) for k in range(l, n + 1))))
 
@@ -286,8 +276,8 @@ class IdentityEngine:
         ])
 
     def _decomposition(self, tag, n):
-        e_re, e_im = self.complex_euler[n].split_real_imag()
-        b_re, b_im = self.complex_bernoulli[n].split_real_imag()
+        e_re, e_im = complex_series("euler", self.order).coefficient(n).split_real_imag()
+        b_re, b_im = complex_series("bernoulli", self.order).coefficient(n).split_real_imag()
         return self._simple(tag, n, [
             e_re - self.polys[FamilyKind.DEG_COS_EULER][n],
             e_im - self.polys[FamilyKind.DEG_SIN_EULER][n],

@@ -1,5 +1,4 @@
-"""Sparse multivariate polynomials over the Gaussian rationals, and the scalar
-values read out of them.
+"""Sparse multivariate polynomials over the Gaussian rationals.
 
 The variable set is fixed: (l, x, y, r), where "l" is the deformation
 parameter.  A polynomial maps packed monomial keys to nonzero integer
@@ -20,9 +19,10 @@ goes into one dict of numerators, canonicalized once; ``*`` shares its pair loop
 polynomial such as ``re + im * MPoly.I``.  Scalars entering the ring
 (``MPoly({exps: c})``, ``constant``, ``scale`` and the bindings of
 ``evaluate``) are ``int`` or ``Fraction``; anything else, bool and float
-included, raises ``TypeError``.  ``GaussRat`` is only the value that comes
-out: ``evaluate`` returns one and the ``terms`` view (built on each call)
-maps monomials to them.
+included, raises ``TypeError``.  What comes out is plain ``Fraction``s, with
+``i`` kept as an exponent: the ``terms`` view (built on each call) maps
+``(el, ex, ey, er, ei)`` to a ``Fraction``, and ``evaluate`` takes a
+polynomial without ``i`` (``split_real_imag`` first) and returns one.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import Dict, Iterable, Mapping, Tuple, Union
 VARIABLES = ("l", "x", "y", "r")
 
 Exponents = Tuple[int, int, int, int]
+Monomial = Tuple[int, int, int, int, int]  # Exponents, then the exponent of i
 Scalar = Union[int, Fraction]
 PolyInput = Union["MPoly", Scalar]
 
@@ -55,64 +56,6 @@ def as_rat(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
-def format_rat(q: Fraction) -> str:
-    """Serialize as "num/den", omitting the denominator when it is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _gauss(re: Fraction, im: Fraction) -> "GaussRat":
-    """A GaussRat from two Fractions, without the checks of the constructor."""
-    z = object.__new__(GaussRat)
-    object.__setattr__(z, "re", re)
-    object.__setattr__(z, "im", im)
-    return z
-
-
-class GaussRat:
-    """An immutable Gaussian rational re + im*i: a value read out of a polynomial."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Scalar, im: Scalar = 0):
-        object.__setattr__(self, "re", as_rat(re))
-        object.__setattr__(self, "im", as_rat(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRat is immutable")
-
-    __delattr__ = __setattr__
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not GaussRat:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
-    # Kept for perfbench, whose numeric.mul_ns.* metrics time this product.
-    def __mul__(self, other: "GaussRat") -> "GaussRat":
-        if type(other) is not GaussRat:
-            return NotImplemented
-        return _gauss(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re)
-
-    def __str__(self) -> str:
-        """Serialize as "re+im*i" with "num/den" components; just "re" when real."""
-        if not self.im:
-            return format_rat(self.re)
-        sign = "+" if self.im > 0 else "-"
-        return f"{format_rat(self.re)}{sign}{format_rat(abs(self.im))}*i"
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.re!r}, {self.im!r})"
-
-
 def _shift(name: str) -> int:
     if name not in VARIABLES:
         raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
@@ -127,8 +70,9 @@ def _pack(exps: Exponents) -> int:
     return el | ex << _W | ey << 2 * _W | er << 3 * _W
 
 
-def _unpack(key: int) -> Exponents:
-    return (key & _FIELD, key >> _W & _FIELD, key >> 2 * _W & _FIELD, key >> 3 * _W & _FIELD)
+def _unpack(key: int) -> Monomial:
+    return (key & _FIELD, key >> _W & _FIELD, key >> 2 * _W & _FIELD, key >> 3 * _W & _FIELD,
+            key >> 4 * _W)
 
 
 def _wrap(nums: Dict[int, int], den: int) -> "MPoly":
@@ -221,24 +165,16 @@ class MPoly:
         return value if isinstance(value, MPoly) else MPoly.constant(value)
 
     @property
-    def terms(self) -> Dict[Exponents, GaussRat]:
-        """{(el, ex, ey, er): GaussRat}, built on each call; i^0 and i^1 keys merge."""
-        parts: Dict[int, list] = {}
-        for k, c in self._num.items():
-            parts.setdefault(k & (_I - 1), [0, 0])[k >> 4 * _W] = c
+    def terms(self) -> Dict[Monomial, Fraction]:
+        """{(el, ex, ey, er, ei): Fraction}, built on each call; ei is 0 or 1."""
         den = self._den
-        return {_unpack(m): _gauss(Fraction(re, den), Fraction(im, den))
-                for m, (re, im) in parts.items()}
+        return {_unpack(k): Fraction(c, den) for k, c in self._num.items()}
 
     def is_zero(self) -> bool:
         return not self._num
 
     def __bool__(self) -> bool:
         return bool(self._num)
-
-    def total_degree(self) -> int | None:
-        """Max summed exponent vector, or None for the zero polynomial."""
-        return max((sum(_unpack(k)) for k in self._num), default=None)
 
     def coefficient(self, exps: Exponents) -> "MPoly":
         """The coefficient of one monomial, as a degree-0 polynomial."""
@@ -314,11 +250,16 @@ class MPoly:
         return (_make({k: c for k, c in items if k < _I}, self._den),
                 _make({k - _I: c for k, c in items if k >= _I}, self._den))
 
-    def evaluate(self, bindings: Mapping[str, Scalar]) -> GaussRat:
-        """Exact evaluation at rational values; every variable occurring in self
-        must be bound.  For a complex point, substitute ``re + im * MPoly.I`` first."""
+    def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
+        """Exact evaluation of a polynomial without i at rational values; every
+        variable occurring in self must be bound.  For a complex coefficient or
+        point, substitute ``re + im * MPoly.I`` and evaluate both parts of
+        ``split_real_imag``."""
         values = {_shift(name): as_rat(value) for name, value in bindings.items()}
         nums, den, tables = self._num, self._den, []
+        if max(nums, default=0) >= _I:
+            raise ValueError("cannot evaluate a polynomial with i; "
+                             "evaluate the parts of split_real_imag")
         for shift in range(0, 4 * _W, _W):
             top = max((k >> shift & _FIELD for k in nums), default=0)
             if top and shift not in values:
@@ -328,12 +269,12 @@ class MPoly:
                 # a^e * q^(top - e) is value^e over the denominator q^top.
                 tables.append((shift, [a ** e * q ** (top - e) for e in range(top + 1)]))
                 den *= q ** top
-        sums = [0, 0]  # real and imaginary numerators
+        total = 0
         for k, c in nums.items():
             for shift, table in tables:
                 c *= table[k >> shift & _FIELD]
-            sums[k >> 4 * _W] += c
-        return _gauss(Fraction(sums[0], den), Fraction(sums[1], den))
+            total += c
+        return Fraction(total, den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MPoly):
@@ -347,21 +288,26 @@ class MPoly:
 
     def to_text(self) -> str:
         """Canonical text form, e.g. "x^2 - 1/2*l*x - y^2"."""
-        terms = self.terms
+        # The real and imaginary numerators of each monomial, side by side.
+        parts: Dict[Exponents, list] = {}
+        for k, c in self._num.items():
+            parts.setdefault(_unpack(k)[:4], [0, 0])[k >> 4 * _W] = c
+        den = self._den
         out = []
         # Graded order, ties broken x-major so that the text reads naturally.
-        for exps in sorted(terms, key=lambda e: (sum(e), e[1], e[0], e[2], e[3]), reverse=True):
-            coeff = terms[exps]
+        for exps in sorted(parts, key=lambda e: (sum(e), e[1], e[0], e[2], e[3]), reverse=True):
+            re, im = parts[exps]
             mono = "*".join(
                 name if power == 1 else f"{name}^{power}"
                 for name, power in zip(VARIABLES, exps)
                 if power
             )
-            if not coeff.im:
-                mag = format_rat(abs(coeff.re))
+            if not im:
+                mag = str(Fraction(abs(re), den))
                 body = (mono if mag == "1" else f"{mag}*{mono}") if mono else mag
-                sign = "-" if coeff.re < 0 else "+"
+                sign = "-" if re < 0 else "+"
             else:
+                coeff = f"{Fraction(re, den)}{'+' if im > 0 else '-'}{Fraction(abs(im), den)}*i"
                 sign, body = "+", f"({coeff})" + (f"*{mono}" if mono else "")
             out.append(f" {sign} {body}" if out else ("-" if sign == "-" else "") + body)
         return "".join(out) or "0"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenpoly.multipoly import VARIABLES, GaussRat, MPoly, sum_products
+from degenpoly.multipoly import VARIABLES, MPoly, sum_products
 
 ZERO = (Fraction(0), Fraction(0))
 
@@ -97,12 +97,13 @@ def to_mpoly(p):
     return MPoly(re) + MPoly(im) * MPoly.I
 
 
-def as_pair(z):
-    return (z.re, z.im)
+def as_terms(p):
+    """The reference polynomial in the layout of MPoly.terms: {(*e, ei): Fraction}."""
+    return {(*e, ei): c[ei] for e, c in p.items() for ei in (0, 1) if c[ei]}
 
 
 def assert_same(poly, ref):
-    assert {e: as_pair(z) for e, z in poly.terms.items()} == ref
+    assert poly.terms == as_terms(ref)
     assert poly == to_mpoly(ref)
     assert hash(poly) == hash(to_mpoly(ref))
 
@@ -136,13 +137,18 @@ def test_substitute(p, idx, q):
 @ring_settings
 @given(ref_polys, points)
 def test_evaluate(p, point):
-    # evaluate binds rationals; a complex coordinate is substituted first.
+    # evaluate binds rationals to a polynomial without i: a complex coordinate
+    # is substituted first, and the two parts of split_real_imag are evaluated.
     poly = to_mpoly(p)
     for name, z in point.items():
         if z[1]:
             poly = poly.substitute(name, gauss(z))
-    value = poly.evaluate({name: z[0] for name, z in point.items() if not z[1]})
-    assert as_pair(value) == r_evaluate(p, point)
+    rational = {name: z[0] for name, z in point.items() if not z[1]}
+    re, im = poly.split_real_imag()
+    assert (re.evaluate(rational), im.evaluate(rational)) == r_evaluate(p, point)
+    if im:
+        with pytest.raises(ValueError, match="split_real_imag"):
+            poly.evaluate(rational)
 
 
 @ring_settings
@@ -201,7 +207,7 @@ def test_sum_products_overflows_exactly_when_a_product_would(triples):
             ((a * b).scale(c) for c, a, b in triples), MPoly.zero())
 
 
-@pytest.mark.parametrize("bad", [0.0, 0.5, False, True, "1", GaussRat(1)], ids=repr)
+@pytest.mark.parametrize("bad", [0.0, 0.5, False, True, "1", 1j], ids=repr)
 def test_sum_products_rejects_inexact_scalars(bad):
     x = MPoly.variable("x")
     for operands in ((x, x), (MPoly.zero(), x)):
