@@ -31,9 +31,6 @@ from .families import (
 from .identities import IdentityEngine, IdentityId, summarize
 from .multipoly import _LIMIT, MPoly
 
-_IDENTITY_BY_VALUE = {tag.value: tag for tag in IdentityId}
-_FAMILY_BY_VALUE = {kind.value: kind for kind in FamilyKind}
-
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
@@ -63,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="print family polynomials")
-    p_table.add_argument("--family", required=True, choices=sorted(_FAMILY_BY_VALUE))
+    p_table.add_argument("--family", required=True,
+                         choices=sorted(kind.value for kind in FamilyKind))
     group = p_table.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, help="single index to print")
     group.add_argument("--n-max", type=int, help="print rows 0..n_max")
@@ -99,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _table_rows(args) -> List[dict]:
-    kind = _FAMILY_BY_VALUE[args.family]
+    kind = FamilyKind(args.family)
     top = args.n if args.n is not None else args.n_max
     if top < 0:
         raise SystemExit("error: index must be non-negative")
@@ -181,9 +179,10 @@ def _cmd_verify(args) -> int:
         tags = []
         for name in args.identity.split(","):
             name = name.strip()
-            if name not in _IDENTITY_BY_VALUE:
-                raise SystemExit(f"error: unknown identity tag {name!r}")
-            tags.append(_IDENTITY_BY_VALUE[name])
+            try:
+                tags.append(IdentityId(name))
+            except ValueError:
+                raise SystemExit(f"error: unknown identity tag {name!r}") from None
     reports = []
     for tag in tags:
         reports.extend(engine.verify(tag))

@@ -19,7 +19,7 @@ from .egfseries import EgfSeries
 from .multipoly import MPoly, PolyInput
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def falling_factorial(u: PolyInput, n: int) -> MPoly:
     """u (u-1) ... (u-n+1); the empty product 1 for n = 0.  Cached, like
     ``gen_falling_factorial``: the checks' sums ask for the same few
@@ -33,7 +33,7 @@ def falling_factorial(u: PolyInput, n: int) -> MPoly:
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gen_falling_factorial(u: PolyInput, n: int, step: int = -1) -> MPoly:
     """Product of (u + step*j*l) for j = 0..n-1.
 
@@ -50,10 +50,6 @@ def gen_falling_factorial(u: PolyInput, n: int, step: int = -1) -> MPoly:
     for j in range(n):
         result = result * (u + lam.scale(step * j))
     return result
-
-
-def gen_rising_factorial(u: PolyInput, n: int) -> MPoly:
-    return gen_falling_factorial(u, n, step=+1)
 
 
 class StirlingKind(enum.Enum):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .multipoly import MPoly, PolyInput, Scalar, sum_products
+from .multipoly import MPoly, PolyInput, sum_products
 
 
 class EgfSeries:
@@ -39,10 +39,6 @@ class EgfSeries:
         return cls.from_function(order, lambda n: MPoly.one() if n == 0 else MPoly.zero())
 
     @property
-    def order(self) -> int:
-        return self._order
-
-    @property
     def coeffs(self) -> Sequence[MPoly]:
         return self._coeffs
 
@@ -52,28 +48,14 @@ class EgfSeries:
             raise IndexError(f"coefficient index {n} out of range 0..{self._order}")
         return self._coeffs[n]
 
-    def _check_order(self, other: "EgfSeries") -> None:
+    def __mul__(self, other: "EgfSeries") -> "EgfSeries":
         if self._order != other._order:
             raise ValueError(f"series order mismatch: {self._order} vs {other._order}")
-
-    def __add__(self, other: "EgfSeries") -> "EgfSeries":
-        self._check_order(other)
-        return EgfSeries(self._order, [a + b for a, b in zip(self._coeffs, other._coeffs)])
-
-    def __sub__(self, other: "EgfSeries") -> "EgfSeries":
-        self._check_order(other)
-        return EgfSeries(self._order, [a - b for a, b in zip(self._coeffs, other._coeffs)])
-
-    def __mul__(self, other: "EgfSeries") -> "EgfSeries":
-        self._check_order(other)
         a, b = self._coeffs, other._coeffs
         return EgfSeries(self._order, [
             sum_products((math.comb(n, k), a[k], b[n - k]) for k in range(n + 1))
             for n in range(self._order + 1)
         ])
-
-    def scale(self, value: Scalar) -> "EgfSeries":
-        return EgfSeries(self._order, [c.scale(value) for c in self._coeffs])
 
     def invert(self) -> "EgfSeries":
         """Multiplicative inverse; requires the constant coefficient to be 1.
@@ -91,9 +73,6 @@ class EgfSeries:
         if not isinstance(other, EgfSeries):
             return NotImplemented
         return self._order == other._order and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((self._order, self._coeffs))
 
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self._coeffs[:4])

@@ -85,11 +85,11 @@ def deg_exp_series(exponent: PolyInput, order: int) -> EgfSeries:
 def deg_cos_sin_series(order: int) -> Tuple[EgfSeries, EgfSeries]:
     """Degenerate cosine and sine series, via (E(iy) +/- E(-iy)) / 2, /2i."""
     iy = MPoly.variable("y") * MPoly.I
-    plus = deg_exp_series(iy, order)
-    minus = deg_exp_series(-iy, order)
-    cos = (plus + minus).scale(Fraction(1, 2))
+    pairs = list(zip(deg_exp_series(iy, order).coeffs, deg_exp_series(-iy, order).coeffs))
+    half = Fraction(1, 2)
+    cos = EgfSeries(order, [(plus + minus).scale(half) for plus, minus in pairs])
     # 1/(2i) = -i/2, so the sine is i/2 times (E(-iy) - E(iy)).
-    sin = EgfSeries(order, [c * MPoly.I for c in (minus - plus).coeffs]).scale(Fraction(1, 2))
+    sin = EgfSeries(order, [((minus - plus) * MPoly.I).scale(half) for plus, minus in pairs])
     return cos, sin
 
 

@@ -28,13 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .combinat import (
-    StirlingKind,
-    falling_factorial,
-    gen_falling_factorial,
-    gen_rising_factorial,
-    stirling_table,
-)
+from .combinat import StirlingKind, falling_factorial, gen_falling_factorial, stirling_table
 from .families import (
     _STRUCTURE,
     FamilyKind,
@@ -166,9 +160,9 @@ class IdentityEngine:
         euler, nums = self.polys[FamilyKind.DEG_EULER], self.x0[FamilyKind.DEG_EULER]
         lhs = self.conj_euler[n]
         signed = [math.comb(n, l) * (-1) ** (n - l) for l in range(n + 1)]
-        rhs1 = sum_products((b, gen_rising_factorial(iy, n - l), euler[l])
+        rhs1 = sum_products((b, gen_falling_factorial(iy, n - l, step=+1), euler[l])
                             for l, b in enumerate(signed))
-        rhs2 = sum_products((b, gen_rising_factorial(iy_minus_x, n - l), nums[l])
+        rhs2 = sum_products((b, gen_falling_factorial(iy_minus_x, n - l, step=+1), nums[l])
                             for l, b in enumerate(signed))
         return self._simple(tag, n, [lhs - rhs1, lhs - rhs2])
 
@@ -313,14 +307,6 @@ def summarize(reports: Sequence[IdentityReport], **context: object) -> Dict[str,
         "ok": counts["fails"] == 0,
         **context,
     }
-
-
-def verify(tag: IdentityId, n_max: int, order: int) -> List[IdentityReport]:
-    return IdentityEngine(n_max, order).verify(tag)
-
-
-def verify_all(n_max: int, order: int):
-    return IdentityEngine(n_max, order).verify_all()
 
 
 _E = IdentityEngine

@@ -4,7 +4,6 @@ from degenpoly.combinat import (
     StirlingKind,
     falling_factorial,
     gen_falling_factorial,
-    gen_rising_factorial,
     stirling_table,
 )
 from degenpoly.identities import IdentityEngine
@@ -31,7 +30,8 @@ def test_gen_falling_factorial():
 
 def test_rising_vs_falling_sign_relation():
     for n in range(7):
-        assert gen_rising_factorial(X, n) == gen_falling_factorial(-X, n).scale((-1) ** n)
+        rising = gen_falling_factorial(X, n, step=+1)
+        assert rising == gen_falling_factorial(-X, n).scale((-1) ** n)
 
 
 def _entry(kind, n, k):
@@ -107,3 +107,12 @@ def test_negative_n_rejected():
         gen_falling_factorial(X, -2)
     with pytest.raises(ValueError):
         gen_falling_factorial(X, 2, step=2)
+
+
+@pytest.mark.parametrize("factorial", [falling_factorial, gen_falling_factorial])
+@pytest.mark.parametrize("bad", [1.0, True], ids=repr)
+def test_cached_int_does_not_admit_an_equal_float_or_bool(factorial, bad):
+    # 1, 1.0 and True are one dict key; the caches must still tell them apart.
+    factorial(1, 3)
+    with pytest.raises(TypeError):
+        factorial(bad, 3)

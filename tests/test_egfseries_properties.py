@@ -57,12 +57,15 @@ def test_invert_gives_the_unit(a):
 
 
 @series_settings
-@given(orders.flatmap(lambda order: lists(order, 2)), rationals)
-def test_scale_distributes_over_mul_and_add(ab, q):
-    a, b = ab
-    sa, sb = series(a), series(b)
-    product = [c.scale(q) for c in naive_mul(a, b)]
-    assert list((sa * sb).scale(q).coeffs) == product
-    assert sa.scale(q) * sb == sa * sb.scale(q) == (sa * sb).scale(q)
-    assert (sa + sb).scale(q) == sa.scale(q) + sb.scale(q)
-    assert list((sa + sb).scale(q).coeffs) == [(x + y).scale(q) for x, y in zip(a, b)]
+@given(orders.flatmap(lambda order: lists(order, 3)), rationals)
+def test_scale_distributes_over_mul_and_add(abc, q):
+    # * is bilinear: scaling one factor's coefficients scales the product's,
+    # and adding to them adds the product with the addend.
+    a, b, c = abc
+    product = naive_mul(a, b)
+    scaled = [x.scale(q) for x in a]
+    assert list((series(scaled) * series(b)).coeffs) == [x.scale(q) for x in product]
+    assert series(scaled) * series(b) == series(a) * series([x.scale(q) for x in b])
+    summed = [x + z for x, z in zip(a, c)]
+    assert list((series(summed) * series(b)).coeffs) == [
+        x + z for x, z in zip(product, naive_mul(c, b))]

@@ -8,9 +8,11 @@ through ``degenpoly.cli.main``.
 
 The benchmark also reads values: its eval-grid gate compares ``evaluate``
 against its own Fraction evaluation of ``terms``, so that reader contract is
-pinned here too.
+pinned here too, as is the package surface perfbench/child.py and
+perfbench/tracing.py use.
 """
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -18,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+import degenpoly
+from degenpoly import combinat
 from degenpoly.cli import main
 from degenpoly.families import FamilyKind, complex_series, family
 
@@ -59,3 +63,31 @@ def test_benchmark_reads_the_values_evaluate_and_terms_hand_out():
     values = [c for p in complex_series("euler", 6).coeffs for c in p.terms.values()]
     assert any(ei for p in complex_series("euler", 6).coeffs for *_, ei in p.terms)
     assert all(spec.re_im(c) == (c, 0) for c in values)
+
+
+def test_package_surface_the_benchmark_reads():
+    tree = ast.parse((PERFBENCH / "child.py").read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in ("dp", "degenpoly")}
+    assert "family" in read
+    for name in read:
+        if name.startswith("__"):
+            assert hasattr(degenpoly, name), name
+        elif importlib.util.find_spec(f"degenpoly.{name}") is None:  # not a submodule
+            assert name in degenpoly.__all__ and hasattr(degenpoly, name), name
+    # perfbench/tracing.py unwraps the classmethod to time each build.
+    assert isinstance(combinat.StirlingTable.__dict__["build"], classmethod)
+    seq = family(FamilyKind.DEG_COS_EULER, 4)
+    assert isinstance(seq.polys, tuple) and len(seq.polys) == 5
+    assert all(seq[n] is seq.polys[n] for n in range(5))
+
+
+def test_all_lists_exactly_the_public_names_the_package_binds():
+    tree = ast.parse(Path(degenpoly.__file__).read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert set(degenpoly.__all__) == {name for name in bound if not name.startswith("_")}

@@ -4,14 +4,7 @@ from fractions import Fraction
 import pytest
 
 from degenpoly.families import FamilyKind, family
-from degenpoly.identities import (
-    CITATIONS,
-    IdentityEngine,
-    IdentityId,
-    summarize,
-    verify,
-    verify_all,
-)
+from degenpoly.identities import CITATIONS, IdentityEngine, IdentityId, summarize
 from degenpoly.multipoly import MPoly
 
 
@@ -113,15 +106,15 @@ def test_reports_serialize_to_json(engine):
 
 
 def test_module_level_helpers():
-    reports = verify(IdentityId.T4_COS, 3, 5)
+    reports = IdentityEngine(3, 5).verify(IdentityId.T4_COS)
     assert [r.n for r in reports] == [0, 1, 2, 3]
-    all_reports, summary = verify_all(2, 4)
+    all_reports, summary = IdentityEngine(2, 4).verify_all()
     assert summary == summarize(all_reports)
     assert summary["fails"] == 0
 
 
 def test_degenerate_run_all_hold_at_n_zero():
-    _, summary = verify_all(0, 2)
+    _, summary = IdentityEngine(0, 2).verify_all()
     assert summary["fails"] == 0
 
 

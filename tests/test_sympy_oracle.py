@@ -102,3 +102,27 @@ def test_degenerate_kernels_at_symbolic_l(which, kernel):
             assert ex == ey == er == ei == 0
             actual[el] = c
         assert actual == {el: rat(c) for (el,), c in expected.terms() if c}, n
+
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(-1, 3)], ids=str)
+def test_degenerate_cos_sin_are_real_and_imaginary_parts_at_rational_l(lam):
+    # Carlitz's closed form e_l^z(t) = (1 + l t)^(z/l) (Utilitas Math. 15, 1979),
+    # expanded by sympy at z = x + iy with x and y real; the Euler families
+    # carry the kernel 2/(e_l(t) + 1) as well.
+    n_max = 6
+    l = sympy.Rational(lam.numerator, lam.denominator)
+
+    def truncated(expr):
+        return sympy.series(expr, T, 0, n_max + 1).removeO()
+
+    power = truncated((1 + l * T) ** ((X + sympy.I * Y) / l))
+    euler = sympy.expand(truncated(2 / ((1 + l * T) ** (1 / l) + 1)) * power)
+    for series, cos_kind, sin_kind in (
+            (power, FamilyKind.DEG_COSINE, FamilyKind.DEG_SINE),
+            (euler, FamilyKind.DEG_COS_EULER, FamilyKind.DEG_SIN_EULER)):
+        cos, sin = family(cos_kind, n_max), family(sin_kind, n_max)
+        for n in range(n_max + 1):
+            re, im = sympy.expand(series.coeff(T, n) * sympy.factorial(n)).as_real_imag()
+            assert package_terms(cos[n].substitute("l", lam)) == sympy_terms(re), (cos_kind, n)
+            assert package_terms(sin[n].substitute("l", lam)) == sympy_terms(im), (sin_kind, n)
