@@ -122,7 +122,7 @@ class StirlingTable:
         return tuple(tuple(row) for row in rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def stirling_table(kind: StirlingKind, n_max: int) -> StirlingTable:
     return StirlingTable.build(kind, n_max)
 

@@ -81,7 +81,7 @@ def deg_exp_series(exponent: PolyInput, order: int) -> EgfSeries:
     return EgfSeries(order, coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def deg_cos_sin_series(order: int) -> Tuple[EgfSeries, EgfSeries]:
     """Degenerate cosine and sine series, via (E(iy) +/- E(-iy)) / 2, /2i."""
     iy = MPoly.variable("y") * MPoly.I
@@ -93,7 +93,7 @@ def deg_cos_sin_series(order: int) -> Tuple[EgfSeries, EgfSeries]:
     return cos, sin
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def kernel_series(which: str, order: int) -> EgfSeries:
     """The Bernoulli or Euler kernel as a series; coefficient n is the
     degenerate Bernoulli/Euler number.
@@ -133,13 +133,13 @@ def _product(kind: FamilyKind, order: int, kernel, exp, cos_sin) -> FamilySequen
     return FamilySequence(tuple(reduce(operator.mul, factors).coeffs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def family(kind: FamilyKind, order: int) -> FamilySequence:
     """Generating-function route: coefficients of the defining product."""
     return _product(kind, order, kernel_series, deg_exp_series, deg_cos_sin_series)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def trig_stirling_rows(trig: str, order: int) -> Tuple[MPoly, ...]:
     """Rows T_m = sum_j (-1)^(j//2) S1(m, j) l^(m-j) y^j for m = 0..order, over
     j even (cos) or odd (sin), read from the first-kind Stirling table."""
@@ -162,7 +162,7 @@ def trig_stirling_sum(trig: str, n: int, inner: Sequence[MPoly], order: int) -> 
     return sum_products((math.comb(n, m), rows[m], inner[n - m]) for m in range(n + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def family_closed(kind: FamilyKind, order: int) -> FamilySequence:
     """Closed-form route: the theorem double sums, term by term."""
     kernel, _, trig = _STRUCTURE[kind]
@@ -190,7 +190,7 @@ def family_closed(kind: FamilyKind, order: int) -> FamilySequence:
     return FamilySequence(tuple(polys))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def complex_series(kernel: str, order: int) -> EgfSeries:
     """The Bernoulli or Euler kernel times the degenerate exponential at x + iy."""
     arg = MPoly.variable("x") + MPoly.variable("y") * MPoly.I
@@ -205,7 +205,7 @@ def complex_euler(n: int, order: int) -> MPoly:
 # -- classical (l = 0) oracle -----------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def classical_kernel_series(which: str, order: int) -> EgfSeries:
     """Plain Bernoulli/Euler kernel built by the same inversion scheme.
 
@@ -246,7 +246,7 @@ def classical_cos_sin_series(order: int) -> Tuple[EgfSeries, EgfSeries]:
     return cos, sin
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def classical_family(kind: FamilyKind, order: int) -> FamilySequence:
     """The l = 0 counterpart of a family, built with plain exponentials."""
     return _product(

@@ -11,6 +11,10 @@ Key layout (Kronecker substitution): the exponents of l, x, y and r fill
 monomial product is one integer addition, with i^2 = -1 reduced inside the
 multiply.  The top bit of each field is a guard: exponents below 2**15 add
 without carrying, so an overflowing product is caught exactly (ValueError).
+Field j of the OR of a set of keys bounds every exponent in field j, so one
+``reduce(or_, keys)`` gives all the bounds: the overflow check is one OR of
+each result's keys before it is canonicalized, and ``evaluate`` sizes its power
+tables from the OR of the polynomial's keys.
 
 A sum of products ``sum c*a*b`` is one ``sum_products`` call: every term pair
 goes into one dict of numerators, canonicalized once; ``*`` shares its pair loop.
@@ -92,29 +96,38 @@ def _make(nums: Dict[int, int], den: int) -> "MPoly":
 
 
 def _accumulate(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int], m: int) -> None:
-    """Add m times the product of the numerator dicts a and b into ``out``."""
+    """Add m times the product of the numerator dicts a and b into ``out``; the
+    caller checks ``out`` for overflow (``_check_guards``) before ``_make``."""
     outer, inner = (a, b) if len(a) <= len(b) else (b, a)
     if not outer:
         return
     plain = list(inner.items())
     # Partners of an outer term with i: i*i = -1 clears the i bit and flips the sign.
-    turned = [(k - 2 * _I, -c) if k >= _I else (k, c) for k, c in plain]
+    turned = ([(k - 2 * _I, -c) if k >= _I else (k, c) for k, c in plain]
+              if max(outer) >= _I else plain)
     get = out.get
     for k1, c1 in outer.items():
         c1 *= m
         for k2, c2 in turned if k1 >= _I else plain:
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
-    # Field j of an OR of keys bounds the exponents in field j, so a product
-    # can overflow only if the two ORs' fields add up to a guard bit.  Keys
-    # already in ``out`` passed this check, so a guard bit is this product's.
-    if (reduce(or_, outer) + reduce(or_, inner)) & _GUARDS and any(k & _GUARDS for k in out):
+
+
+def _check_guards(out: Dict[int, int]) -> None:
+    """Raise if a product accumulated into ``out`` overflowed an exponent field.
+
+    Factor exponents lie below 2**15, so field sums never carry into the next
+    field, and a product overflows exactly when its key sets a guard bit.  No
+    key leaves ``out`` before this check (zero sums included), so one OR of
+    its keys sees every product."""
+    if reduce(or_, out, 0) & _GUARDS:
         raise ValueError(f"exponent overflow: a product has an exponent >= {_LIMIT}")
 
 
 def _product(a: "MPoly", b: "MPoly") -> "MPoly":
     out: Dict[int, int] = {}
     _accumulate(out, a._num, b._num, 1)
+    _check_guards(out)
     return _make(out, a._den * b._den)
 
 
@@ -131,6 +144,7 @@ def sum_products(items: Iterable[Tuple[Scalar, "MPoly", "MPoly"]]) -> "MPoly":
     out: Dict[int, int] = {}
     for p, d, a, b in terms:
         _accumulate(out, a, b, p * (den // d))
+    _check_guards(out)
     return _make(out, den)
 
 
@@ -257,18 +271,23 @@ class MPoly:
         ``split_real_imag``."""
         values = {_shift(name): as_rat(value) for name, value in bindings.items()}
         nums, den, tables = self._num, self._den, []
-        if max(nums, default=0) >= _I:
+        # Field j of the OR of the keys bounds every exponent in field j.
+        ors = reduce(or_, nums, 0)
+        if ors >= _I:
             raise ValueError("cannot evaluate a polynomial with i; "
                              "evaluate the parts of split_real_imag")
         for shift in range(0, 4 * _W, _W):
-            top = max((k >> shift & _FIELD for k in nums), default=0)
+            top = ors >> shift & _FIELD
             if top and shift not in values:
                 raise ValueError(f"unbound variable {VARIABLES[shift // _W]!r} in evaluation")
             if top:
                 a, q = values[shift].numerator, values[shift].denominator
-                # a^e * q^(top - e) is value^e over the denominator q^top.
-                tables.append((shift, [a ** e * q ** (top - e) for e in range(top + 1)]))
-                den *= q ** top
+                # table[e] = a^e * q^(top - e) is value^e over the denominator q^top.
+                table = [q ** top]
+                for _ in range(top):
+                    table.append(table[-1] // q * a)
+                tables.append((shift, table))
+                den *= table[0]
         total = 0
         for k, c in nums.items():
             for shift, table in tables:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from degenpoly.combinat import gen_falling_factorial
+from degenpoly.combinat import StirlingKind, gen_falling_factorial, stirling_table
 from degenpoly.families import (
     FamilyKind,
     classical_family,
@@ -190,3 +190,27 @@ def test_classical_family_limits():
         cls = classical_family(kind, 6)
         for n in range(7):
             assert deg[n].substitute("l", 0) == cls[n], (kind, n)
+
+
+CACHED_FUNCTIONS = [
+    (deg_cos_sin_series, ()),
+    (kernel_series, ("euler",)),
+    (family, (FamilyKind.DEG_COS_EULER,)),
+    (trig_stirling_rows, ("sin",)),
+    (family_closed, (FamilyKind.DEG_COS_EULER,)),
+    (complex_series, ("bernoulli",)),
+    (classical_kernel_series, ("euler",)),
+    (classical_family, (FamilyKind.DEG_COS_EULER,)),
+    (stirling_table, (StirlingKind.FIRST,)),
+]
+
+
+@pytest.mark.parametrize("fn, args", CACHED_FUNCTIONS,
+                         ids=[fn.__name__ for fn, _ in CACHED_FUNCTIONS])
+def test_warm_cache_does_not_admit_an_equal_float_or_bool(fn, args):
+    # 5 == 5.0 and 1 == True are one dict key; a warm call with the float or
+    # bool must do what it does cold: raise, or build its own result.
+    fn(*args, 5)
+    with pytest.raises(TypeError):
+        fn(*args, 5.0)
+    assert fn(*args, True) is not fn(*args, 1)

@@ -1,10 +1,10 @@
 """Byte-identity gate: every command keyed in perfbench/golden.json must print
 exactly the stdout whose sha256 is recorded there, and so must the larger
-verify run keyed in LARGE.
+verify run keyed in LARGE and the degree-20 evaluations keyed in EVALUATION.
 
 The golden.json digests were recorded from the package's output before any
-optimisation, LARGE at the commit named beside it; the commands run in-process
-through ``degenpoly.cli.main``.
+optimisation, LARGE and EVALUATION at the commits named beside them; the
+commands run in-process through ``degenpoly.cli.main``.
 
 The benchmark also reads values: its eval-grid gate compares ``evaluate``
 against its own Fraction evaluation of ``terms``, so that reader contract is
@@ -34,7 +34,16 @@ LARGE = {
     "verify --identity all --n-max 20 --order 22 --format json":
         "c08d2fcb0509e4aa1cd5baddf3b4c6cbbf3e928fc254569f2fc31e412c31c1cf",
 }
-DIGESTS = {**GOLDEN, **LARGE}
+# Recorded at commit d9b505b, before evaluate took its power-table sizes from the
+# OR of the keys; at degree 20 = 0b10100 that OR can exceed the real degree.
+EVALUATION = {
+    f"table --family {kind} --n-max 20 --l=-3/7 --x 5/11 --y 2/3 --format json": digest
+    for kind, digest in [
+        ("deg-cos-bernoulli", "8946daa9278b629ae3328c0d1c2d4c8daacfc4ed75d409dcfdf19ee0c03455e6"),
+        ("deg-sin-euler", "76ba0e52df2789a1b83e3c35580b30a7e326bb8cd513b9e033cbbef8431a5305"),
+    ]
+}
+DIGESTS = {**GOLDEN, **LARGE, **EVALUATION}
 
 
 @pytest.mark.parametrize("command", sorted(DIGESTS))

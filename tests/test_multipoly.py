@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from degenpoly.multipoly import MPoly, VARIABLES
+from degenpoly.multipoly import MPoly, VARIABLES, sum_products
 
 L = MPoly.variable("l")
 X = MPoly.variable("x")
@@ -83,6 +84,17 @@ def test_eval_examples():
     assert type(p.evaluate({"x": 2, "l": 1})) is Fraction
 
 
+def test_evaluate_where_the_or_of_the_exponents_exceeds_the_degree():
+    # 12 | 3 = 15: the power tables run past the largest exponent of x.
+    p = (X ** 12 + X ** 3).scale(Fraction(-2, 3)) + L ** 5 * Y ** 9 + 7
+    values = [0, 1, -1, 3, -2, Fraction(-5, 7), Fraction(4, 9)]
+    for l, x, y in itertools.product(values, repeat=3):
+        expected = sum(c * Fraction(l) ** el * Fraction(x) ** ex * Fraction(y) ** ey
+                       for (el, ex, ey, _, _), c in p.terms.items())
+        value = p.evaluate({"l": l, "x": x, "y": y})
+        assert value == expected and type(value) is Fraction, (l, x, y)
+
+
 def test_eval_unbound_variable_is_error():
     with pytest.raises(ValueError, match="unbound"):
         (Y * Y).evaluate({"x": 1})
@@ -95,6 +107,9 @@ def test_evaluate_rejects_a_polynomial_with_i():
         p.evaluate({"x": 1, "y": 2})
     with pytest.raises(ValueError, match="split_real_imag"):
         I.evaluate({})
+    # The i error comes before the unbound-variable error.
+    with pytest.raises(ValueError, match="split_real_imag"):
+        (L * Y + X * I).evaluate({"x": 1})
     re, im = p.split_real_imag()
     assert (re.evaluate({"x": 1}), im.evaluate({"y": 2})) == (1, 2)
 
@@ -174,6 +189,20 @@ def test_exponent_overflow_is_an_error():
         (L * Y ** (2 ** 14)) * (X * Y ** (2 ** 14))
     # Right below the limit nothing spills into the neighbouring fields.
     assert (Y ** (2 ** 14) * Y ** (2 ** 14 - 1)).terms == {(0, 0, 2 ** 15 - 1, 0, 0): 1}
+
+
+@pytest.mark.parametrize("unit", [MPoly.one(), I], ids=["real", "i"])
+def test_substitute_overflows_exactly_past_the_field(unit):
+    # x -> x^2 doubles every exponent of x: 2 * (2**14 - 1) fits, 2 * 2**14 does not.
+    square = X * X * unit
+    for p in (X ** (2 ** 14 - 1) * unit, X ** (2 ** 14 - 1) * L * unit + Y):
+        assert max(e[1] for e in p.substitute("x", square).terms) == 2 ** 15 - 2
+    for p in (X ** (2 ** 14) * unit, X ** (2 ** 14) * unit + X):
+        with pytest.raises(ValueError, match="overflow"):
+            p.substitute("x", square)
+    # A zero scalar does not hide an overflowing product.
+    with pytest.raises(ValueError, match="overflow"):
+        sum_products([(1, X, X), (0, X ** (2 ** 14) * unit, X ** (2 ** 14))])
 
 
 def test_terms_view_keeps_i_as_an_exponent():
