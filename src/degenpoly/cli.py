@@ -44,11 +44,12 @@ def _parse_rat(text: str) -> Fraction:
 
 
 def _check_size(name: str, value: Optional[int]) -> None:
-    # A polynomial of degree value would overflow its exponent field, and
-    # the builds would run a long time before the overflow showed.
-    if value is not None and value >= _LIMIT:
-        raise SystemExit(f"error: {name} {value} is too large: exponents must stay "
-                         f"below {_LIMIT}")
+    # A negative size has no rows.  A polynomial of degree value >= _LIMIT
+    # would overflow its exponent field, and the builds would run a long time
+    # before the overflow showed.
+    if value is not None and not 0 <= value < _LIMIT:
+        raise SystemExit(f"error: {name} {value} is out of range: sizes must be "
+                         f"non-negative and exponents must stay below {_LIMIT}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,8 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _table_rows(args) -> List[dict]:
     kind = FamilyKind(args.family)
     top = args.n if args.n is not None else args.n_max
-    if top < 0:
-        raise SystemExit("error: index must be non-negative")
     order = args.order if args.order is not None else top + 2
     _check_size("order", order)
     if order < top + 1:
@@ -145,8 +144,6 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_stirling(args) -> int:
-    if args.n_max < 0:
-        raise SystemExit("error: n-max must be non-negative")
     table = stirling_table(StirlingKind(args.kind), args.n_max)
     entries = [
         (n, k, table.entry(n, k).to_text())
@@ -207,8 +204,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if args.order < 0:
-        raise SystemExit("error: order must be non-negative")
     name = args.kernel
     if name in ("bernoulli", "euler"):
         series = kernel_series(name, args.order)

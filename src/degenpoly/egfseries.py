@@ -17,21 +17,17 @@ from .multipoly import MPoly, PolyInput, sum_products
 class EgfSeries:
     """Immutable truncated series with MPoly coefficients in the t^n/n! basis."""
 
-    __slots__ = ("_order", "_coeffs")
+    __slots__ = ("_coeffs",)
 
-    def __init__(self, order: int, coeffs: Sequence[PolyInput]):
-        if order < 0:
-            raise ValueError("series order must be non-negative")
-        if len(coeffs) != order + 1:
-            raise ValueError(
-                f"expected {order + 1} coefficients for order {order}, got {len(coeffs)}"
-            )
-        self._order = order
+    def __init__(self, coeffs: Sequence[PolyInput]):
+        # The order is len(coeffs) - 1; order 0 still holds the constant term.
         self._coeffs = tuple(MPoly.coerce(c) for c in coeffs)
+        if not self._coeffs:
+            raise ValueError("a series needs at least its constant coefficient")
 
     @classmethod
     def from_function(cls, order: int, fn: Callable[[int], PolyInput]) -> "EgfSeries":
-        return cls(order, [fn(n) for n in range(order + 1)])
+        return cls([fn(n) for n in range(order + 1)])
 
     @classmethod
     def unit(cls, order: int) -> "EgfSeries":
@@ -44,17 +40,17 @@ class EgfSeries:
 
     def coefficient(self, n: int) -> MPoly:
         """a_n, i.e. n! times the t^n coefficient."""
-        if not 0 <= n <= self._order:
-            raise IndexError(f"coefficient index {n} out of range 0..{self._order}")
+        if not 0 <= n < len(self._coeffs):
+            raise IndexError(f"coefficient index {n} out of range 0..{len(self._coeffs) - 1}")
         return self._coeffs[n]
 
     def __mul__(self, other: "EgfSeries") -> "EgfSeries":
-        if self._order != other._order:
-            raise ValueError(f"series order mismatch: {self._order} vs {other._order}")
         a, b = self._coeffs, other._coeffs
-        return EgfSeries(self._order, [
+        if len(a) != len(b):
+            raise ValueError(f"series order mismatch: {len(a) - 1} vs {len(b) - 1}")
+        return EgfSeries([
             sum_products((math.comb(n, k), a[k], b[n - k]) for k in range(n + 1))
-            for n in range(self._order + 1)
+            for n in range(len(a))
         ])
 
     def invert(self) -> "EgfSeries":
@@ -65,16 +61,16 @@ class EgfSeries:
         if self._coeffs[0] != MPoly.one():
             raise ValueError("series inversion requires constant coefficient 1")
         a, inv = self._coeffs, [MPoly.one()]
-        for n in range(1, self._order + 1):
+        for n in range(1, len(a)):
             inv.append(sum_products((-math.comb(n, k), a[k], inv[n - k]) for k in range(1, n + 1)))
-        return EgfSeries(self._order, inv)
+        return EgfSeries(inv)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EgfSeries):
             return NotImplemented
-        return self._order == other._order and self._coeffs == other._coeffs
+        return self._coeffs == other._coeffs
 
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self._coeffs[:4])
-        tail = ", ..." if self._order >= 4 else ""
-        return f"EgfSeries(order={self._order}, [{shown}{tail}])"
+        tail = ", ..." if len(self._coeffs) > 4 else ""
+        return f"EgfSeries(order={len(self._coeffs) - 1}, [{shown}{tail}])"

@@ -1,9 +1,10 @@
 """The ten degenerate polynomial families and their generating functions.
 
-Each family can be built two independent ways: by extracting coefficients
-of its defining generating-function product (``family``) and by the
-closed-form double sums (``family_closed``).  The identity engine compares
-the two routes; they must agree as exact polynomials.
+Every family is built by extracting coefficients of its defining
+generating-function product (``family``).  The six cosine/sine families,
+the ones the paper gives closed forms for, are also built independently by
+those closed-form double sums (``family_closed``).  The identity engine
+compares the two routes; they must agree as exact polynomials.
 
 The classical (l = 0) counterparts are built from scratch by the same
 kernel-inversion machinery with plain exponentials, and serve as the
@@ -55,6 +56,9 @@ _STRUCTURE = {
     FamilyKind.DEG_SIN_BERNOULLI: ("bernoulli", True, "sin"),
 }
 
+# The family whose defining product is kernel x e_l^x(t) x trig, by (kernel, trig).
+_KIND = {(kernel, trig): kind for kind, (kernel, uses_x, trig) in _STRUCTURE.items() if uses_x}
+
 
 class FamilySequence:
     """Polynomials polys[0..order] of one family."""
@@ -78,7 +82,7 @@ def deg_exp_series(exponent: PolyInput, order: int) -> EgfSeries:
     lam = MPoly.variable("l")
     for n in range(1, order + 1):
         coeffs.append(coeffs[-1] * (exponent - lam.scale(n - 1)))
-    return EgfSeries(order, coeffs)
+    return EgfSeries(coeffs)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -87,9 +91,9 @@ def deg_cos_sin_series(order: int) -> Tuple[EgfSeries, EgfSeries]:
     iy = MPoly.variable("y") * MPoly.I
     pairs = list(zip(deg_exp_series(iy, order).coeffs, deg_exp_series(-iy, order).coeffs))
     half = Fraction(1, 2)
-    cos = EgfSeries(order, [(plus + minus).scale(half) for plus, minus in pairs])
+    cos = EgfSeries([(plus + minus).scale(half) for plus, minus in pairs])
     # 1/(2i) = -i/2, so the sine is i/2 times (E(-iy) - E(iy)).
-    sin = EgfSeries(order, [((minus - plus) * MPoly.I).scale(half) for plus, minus in pairs])
+    sin = EgfSeries([((minus - plus) * MPoly.I).scale(half) for plus, minus in pairs])
     return cos, sin
 
 
@@ -151,43 +155,29 @@ def trig_stirling_rows(trig: str, order: int) -> Tuple[MPoly, ...]:
     )
 
 
-def trig_stirling_sum(trig: str, n: int, inner: Sequence[MPoly], order: int) -> MPoly:
+def trig_stirling_sum(trig: str, n: int, inner: Sequence[MPoly]) -> MPoly:
     """sum over j even (cos) or odd (sin) and m = j..n of
     (-1)^(j//2) binom(n, m) l^(m-j) y^j S1(m, j) inner[n-m].
 
     The sum over j does not depend on n or on ``inner``, so it is grouped by m
     into the rows T_m of ``trig_stirling_rows`` and the sum taken as
-    sum_m binom(n, m) T_m inner[n-m]."""
-    rows = trig_stirling_rows(trig, order)
+    sum_m binom(n, m) T_m inner[n-m]; the rows go to the order of ``inner``."""
+    rows = trig_stirling_rows(trig, len(inner) - 1)
     return sum_products((math.comb(n, m), rows[m], inner[n - m]) for m in range(n + 1))
 
 
 @lru_cache(maxsize=None, typed=True)
 def family_closed(kind: FamilyKind, order: int) -> FamilySequence:
-    """Closed-form route: the theorem double sums, term by term."""
+    """Closed-form route for the six cos/sin families: the theorem double
+    sums, term by term."""
     kernel, _, trig = _STRUCTURE[kind]
-    if kind in (FamilyKind.DEG_BERNOULLI_NUM, FamilyKind.DEG_EULER_NUM):
-        raise ValueError(f"{kind.value} has no closed-form route")
-    xv = MPoly.variable("x")
     if trig is None:
-        # Binomial expansion over the corresponding numbers.
-        nums = family(
-            FamilyKind.DEG_BERNOULLI_NUM if kernel == "bernoulli" else FamilyKind.DEG_EULER_NUM,
-            order,
-        )
-        return FamilySequence(tuple(
-            sum_products((math.comb(n, l), nums[l], gen_falling_factorial(xv, n - l))
-                         for l in range(n + 1))
-            for n in range(order + 1)
-        ))
+        raise ValueError(f"{kind.value} has no closed-form route")
     if kernel is None:
-        inner = [gen_falling_factorial(xv, n) for n in range(order + 1)]
+        inner = [gen_falling_factorial(MPoly.variable("x"), n) for n in range(order + 1)]
     else:
-        inner = family(
-            FamilyKind.DEG_BERNOULLI if kernel == "bernoulli" else FamilyKind.DEG_EULER, order
-        ).polys
-    polys = [trig_stirling_sum(trig, n, inner, order) for n in range(order + 1)]
-    return FamilySequence(tuple(polys))
+        inner = family(_KIND[kernel, None], order).polys
+    return FamilySequence(tuple(trig_stirling_sum(trig, n, inner) for n in range(order + 1)))
 
 
 @lru_cache(maxsize=None, typed=True)

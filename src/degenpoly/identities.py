@@ -30,20 +30,15 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from .combinat import StirlingKind, falling_factorial, gen_falling_factorial, stirling_table
 from .families import (
-    _STRUCTURE,
+    _KIND,
     FamilyKind,
     classical_family,
     complex_series,
-    deg_exp_series,
     family,
     family_closed,
-    kernel_series,
     trig_stirling_sum,
 )
 from .multipoly import MPoly, sum_products
-
-# The family whose defining product is kernel x e_l^x(t) x trig, by (kernel, trig).
-_KIND = {(kernel, trig): kind for kind, (kernel, uses_x, trig) in _STRUCTURE.items() if uses_x}
 
 
 class _BuildOnMiss(dict):
@@ -96,7 +91,7 @@ class IdentityReport:
 class IdentityEngine:
     """Builds families once and runs exact checks for each identity tag."""
 
-    def __init__(self, n_max: int = 12, order: int = 14):
+    def __init__(self, n_max: int, order: int):
         if n_max < 0:
             raise ValueError("n_max must be non-negative")
         if order < n_max + 1:
@@ -128,13 +123,6 @@ class IdentityEngine:
         return [sum_products((1, s2.entry(k, l), falling_factorial(xv, l)) for l in range(k + 1))
                 for k in range(self.order + 1)]
 
-    @cached_property
-    def conj_euler(self):
-        # Euler kernel times degenerate exponential at x - iy.
-        arg = MPoly.variable("x") - MPoly.variable("y") * MPoly.I
-        series = kernel_series("euler", self.order) * deg_exp_series(arg, self.order)
-        return series.coeffs
-
     # -- report helpers -----------------------------------------------
 
     def _simple(self, tag: IdentityId, n: int, residuals: Sequence[MPoly]) -> IdentityReport:
@@ -155,10 +143,13 @@ class IdentityEngine:
         return self._simple(tag, n, [lhs - rhs1, lhs - rhs2])
 
     def _t1_conj(self, tag, n):
-        iy = MPoly.variable("y") * MPoly.I
+        yv = MPoly.variable("y")
+        iy = yv * MPoly.I
         iy_minus_x = iy - MPoly.variable("x")
         euler, nums = self.polys[FamilyKind.DEG_EULER], self.x0[FamilyKind.DEG_EULER]
-        lhs = self.conj_euler[n]
+        # The Euler polynomial at x - iy is the image of the one at x + iy
+        # under the ring map y -> -y.
+        lhs = complex_series("euler", self.order).coefficient(n).substitute("y", -yv)
         signed = [math.comb(n, l) * (-1) ** (n - l) for l in range(n + 1)]
         rhs1 = sum_products((b, gen_falling_factorial(iy, n - l, step=+1), euler[l])
                             for l, b in enumerate(signed))
@@ -220,7 +211,7 @@ class IdentityEngine:
     def _e61_e62(self, tag, n):
         nums = self.x0[FamilyKind.DEG_BERNOULLI]
         return self._simple(tag, n, [
-            self.x0[_KIND["bernoulli", trig]][n] - trig_stirling_sum(trig, n, nums, self.order)
+            self.x0[_KIND["bernoulli", trig]][n] - trig_stirling_sum(trig, n, nums)
             for trig in ("cos", "sin")
         ])
 

@@ -142,6 +142,22 @@ def test_sizes_past_the_exponent_field_fail_fast(capsys, argv):
     assert err.startswith("error: ") and "32768" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--family", "deg-cosine", "--n", "-1"],
+    ["table", "--family", "deg-euler", "--n-max", "-1"],
+    ["table", "--family", "deg-euler", "--n-max", "2", "--order", "-1"],
+    ["stirling", "--kind", "first", "--n-max", "-1"],
+    ["verify", "--identity", "T2_cos", "--n-max", "-1"],
+    ["verify", "--n-max", "3", "--order", "-1"],
+    ["series", "--kernel", "euler", "--order", "-1"],
+])
+def test_negative_sizes_fail_fast(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "-1" in err
+
+
 def test_verify_output_is_deterministic(capsys):
     args = ["verify", "--identity", "T4_cos", "--n-max", "4", "--format", "json"]
     _, first, _ = run_cli(capsys, *args)

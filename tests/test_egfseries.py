@@ -98,11 +98,15 @@ def test_truncation_congruence():
     g = EgfSeries.from_function(8, lambda n: MPoly.variable("y").scale(n + 1))
 
     def short(s):
-        return EgfSeries(4, s.coeffs[:5])
+        return EgfSeries(s.coeffs[:5])
 
     assert short(f * g) == short(f) * short(g)
 
 
-def test_wrong_length_rejected():
+def test_empty_series_rejected():
+    # The order is read from the coefficients, so the one malformed series is
+    # one without even a constant coefficient.
     with pytest.raises(ValueError):
-        EgfSeries(3, [MPoly.one()] * 3)
+        EgfSeries([])
+    with pytest.raises(ValueError):
+        EgfSeries.from_function(-1, lambda n: MPoly.one())

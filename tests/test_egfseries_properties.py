@@ -35,7 +35,7 @@ def naive_mul(a, b):
 
 
 def series(coeff_list):
-    return EgfSeries(len(coeff_list) - 1, coeff_list)
+    return EgfSeries(coeff_list)
 
 
 @series_settings

@@ -145,6 +145,14 @@ def test_family_closed_rejects_number_kinds():
         family_closed(FamilyKind.DEG_BERNOULLI_NUM, 4)
 
 
+@pytest.mark.parametrize("kind", [FamilyKind.DEG_BERNOULLI, FamilyKind.DEG_EULER],
+                         ids=lambda kind: kind.value)
+def test_family_closed_rejects_kinds_without_trig_factor(kind):
+    # The paper proves closed forms only for the cosine/sine families.
+    with pytest.raises(ValueError, match="no closed-form route"):
+        family_closed(kind, 4)
+
+
 def test_numbers_equal_polynomials_at_x_zero():
     for num_kind, poly_kind in (
         (FamilyKind.DEG_EULER_NUM, FamilyKind.DEG_EULER),
@@ -173,6 +181,15 @@ def test_complex_euler_low_degrees():
     re, im = e1.split_real_imag()
     assert re == X - MPoly.constant(Fraction(1, 2))
     assert im == Y
+
+
+def test_conjugate_euler_is_the_y_reflection():
+    # The Euler polynomial at x - iy, built as its own product of series,
+    # is the image under y -> -y of the one at x + iy.
+    conj = kernel_series("euler", 14) * deg_exp_series(X - Y * I, 14)
+    series = complex_series("euler", 14)
+    for n in range(15):
+        assert series.coefficient(n).substitute("y", -Y) == conj.coefficient(n), n
 
 
 def test_complex_bernoulli_low_degrees():
