@@ -61,13 +61,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="print family polynomials")
+    p_table.set_defaults(run=_cmd_table)
     p_table.add_argument("--family", required=True,
                          choices=sorted(kind.value for kind in FamilyKind))
     group = p_table.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, help="single index to print")
     group.add_argument("--n-max", type=int, help="print rows 0..n_max")
-    p_table.add_argument("--order", type=int, default=None,
-                         help="truncation order (default: highest index + 2)")
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     for var in ("l", "x", "y", "r"):
         p_table.add_argument(f"--{var}", default=None, metavar="RAT",
@@ -75,12 +74,14 @@ def _build_parser() -> argparse.ArgumentParser:
                              f"negative rational as --{var}=-3/7")
 
     p_stir = sub.add_parser("stirling", help="dump a Stirling table as CSV")
+    p_stir.set_defaults(run=_cmd_stirling)
     p_stir.add_argument("--kind", required=True,
                         choices=[k.value for k in StirlingKind])
     p_stir.add_argument("--n-max", type=int, default=12)
     p_stir.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_ver = sub.add_parser("verify", help="run identity checks")
+    p_ver.set_defaults(run=_cmd_verify)
     p_ver.add_argument("--identity", default="all",
                        help='"all" or comma-separated tags (e.g. T2_cos,T6_reflect_sin)')
     p_ver.add_argument("--n-max", type=int, default=12)
@@ -89,6 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--format", choices=("json", "text"), default="json")
 
     p_ser = sub.add_parser("series", help="print raw EGF coefficients of a kernel")
+    p_ser.set_defaults(run=_cmd_series)
     p_ser.add_argument("--kernel", required=True,
                        choices=("bernoulli", "euler", "cos", "sin", "exp-1", "exp-x"))
     p_ser.add_argument("--order", type=int, default=8)
@@ -98,19 +100,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _table_rows(args) -> List[dict]:
-    kind = FamilyKind(args.family)
     top = args.n if args.n is not None else args.n_max
-    order = args.order if args.order is not None else top + 2
-    _check_size("order", order)
-    if order < top + 1:
-        raise SystemExit(f"error: order {order} too small for index {top}")
-    seq = family(kind, order)
+    seq = family(FamilyKind(args.family), top)
     bindings = {
         var: _parse_rat(getattr(args, var))
         for var in ("l", "x", "y", "r")
         if getattr(args, var) is not None
     }
-    wanted = [args.n] if args.n is not None else range(top + 1)
+    wanted = [top] if args.n is not None else range(top + 1)
     rows = []
     for n in wanted:
         poly = seq[n]
@@ -183,7 +180,7 @@ def _cmd_verify(args) -> int:
     reports = []
     for tag in tags:
         reports.extend(engine.verify(tag))
-    summary = summarize(reports, n_max=args.n_max, order=order)
+    summary = {**summarize(reports), "n_max": args.n_max, "order": order}
     if args.format == "json":
         for rep in reports:
             print(_json_dumps(rep.to_json_dict()))
@@ -229,16 +226,10 @@ def _cmd_series(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "table": _cmd_table,
-        "stirling": _cmd_stirling,
-        "verify": _cmd_verify,
-        "series": _cmd_series,
-    }
     try:
         for name in ("n", "n_max", "order"):
             _check_size("--" + name.replace("_", "-"), getattr(args, name, None))
-        return handlers[args.command](args)
+        return args.run(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

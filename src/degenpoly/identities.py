@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .combinat import StirlingKind, falling_factorial, gen_falling_factorial, stirling_table
 from .families import (
@@ -58,22 +59,14 @@ def _binom_sum(n: int, term: Callable[[int], Tuple[MPoly, MPoly]]) -> MPoly:
     return sum_products((math.comb(n, k), *term(k)) for k in range(n + 1))
 
 
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Verdict for one identity checked at one degree."""
 
-    def __init__(
-        self,
-        id: IdentityId,
-        n: int,
-        verdict: str,  # "holds" | "fails" | "holds_variant"
-        lhs_minus_rhs: MPoly = MPoly.zero(),
-        variant_note: str = "",
-    ):
-        self.id = id
-        self.n = n
-        self.verdict = verdict
-        self.lhs_minus_rhs = lhs_minus_rhs
-        self.variant_note = variant_note
+    id: IdentityId
+    n: int
+    verdict: str  # "holds" | "fails" | "holds_variant"
+    lhs_minus_rhs: MPoly = MPoly.zero()
+    variant_note: str = ""
 
     def to_json_dict(self) -> dict:
         out = {
@@ -92,6 +85,9 @@ class IdentityEngine:
     """Builds families once and runs exact checks for each identity tag."""
 
     def __init__(self, n_max: int, order: int):
+        for name, size in (("n_max", n_max), ("order", order)):
+            if isinstance(size, bool) or not isinstance(size, int):
+                raise TypeError(f"{name} must be an int, got {type(size).__name__}")
         if n_max < 0:
             raise ValueError("n_max must be non-negative")
         if order < n_max + 1:
@@ -285,18 +281,15 @@ class IdentityEngine:
         return reports, summarize(reports)
 
 
-def summarize(reports: Sequence[IdentityReport], **context: object) -> Dict[str, object]:
-    """Verdict counts; ``context`` (such as n_max and order) is added as is."""
-    counts = {"holds": 0, "holds_variant": 0, "fails": 0}
-    for rep in reports:
-        counts[rep.verdict] += 1
+def summarize(reports: Sequence[IdentityReport]) -> Dict[str, object]:
+    """The number of checks, the count of each verdict, and whether none failed."""
+    counts = Counter(rep.verdict for rep in reports)
     return {
         "checks": len(reports),
         "holds": counts["holds"],
         "holds_variant": counts["holds_variant"],
         "fails": counts["fails"],
         "ok": counts["fails"] == 0,
-        **context,
     }
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from degenpoly.cli import main
+from degenpoly.families import family
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +64,28 @@ def test_table_negative_binding(capsys, binding, expected):
     )
     assert code == 0
     assert out == expected
+
+
+@pytest.mark.parametrize("index, order", [("--n", 3), ("--n-max", 5)])
+def test_table_builds_exactly_its_highest_row(capsys, monkeypatch, index, order):
+    import degenpoly.cli as cli
+
+    asked = []
+
+    def recording(kind, order):
+        asked.append(order)
+        return family(kind, order)
+
+    monkeypatch.setattr(cli, "family", recording)
+    code, _, _ = run_cli(capsys, "table", "--family", "deg-euler", index, str(order))
+    assert code == 0
+    assert asked == [order]
+
+
+def test_table_has_no_order_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--family", "deg-euler", "--n-max", "2", "--order", "5"])
+    assert exc.value.code == 2
 
 
 def test_table_unbound_evaluation_is_error(capsys):
@@ -127,8 +150,6 @@ def test_verify_order_violation(capsys):
 @pytest.mark.parametrize("argv", [
     ["table", "--family", "deg-cosine", "--n", "40000"],
     ["table", "--family", "deg-euler", "--n-max", "32768"],
-    # The default order, index + 2, is past the limit.
-    ["table", "--family", "deg-cosine", "--n", "32766"],
     ["verify", "--identity", "T2_cos", "--n-max", "40000"],
     ["verify", "--n-max", "3", "--order", "32768"],
     ["stirling", "--kind", "first", "--n-max", "32768"],
@@ -145,7 +166,6 @@ def test_sizes_past_the_exponent_field_fail_fast(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["table", "--family", "deg-cosine", "--n", "-1"],
     ["table", "--family", "deg-euler", "--n-max", "-1"],
-    ["table", "--family", "deg-euler", "--n-max", "2", "--order", "-1"],
     ["stirling", "--kind", "first", "--n-max", "-1"],
     ["verify", "--identity", "T2_cos", "--n-max", "-1"],
     ["verify", "--n-max", "3", "--order", "-1"],

@@ -1,9 +1,10 @@
 """Byte-identity gate: every command keyed in perfbench/golden.json must print
 exactly the stdout whose sha256 is recorded there, and so must the larger
-verify run keyed in LARGE and the degree-20 evaluations keyed in EVALUATION.
+verify run keyed in LARGE, the degree-20 evaluations keyed in EVALUATION and
+the single rows keyed in SINGLE_ROW.
 
 The golden.json digests were recorded from the package's output before any
-optimisation, LARGE and EVALUATION at the commits named beside them; the
+optimisation, the others at the commits named beside them; the
 commands run in-process through ``degenpoly.cli.main``.
 
 The benchmark also reads values: its eval-grid gate compares ``evaluate``
@@ -43,7 +44,24 @@ EVALUATION = {
         ("deg-sin-euler", "76ba0e52df2789a1b83e3c35580b30a7e326bb8cd513b9e033cbbef8431a5305"),
     ]
 }
-DIGESTS = {**GOLDEN, **LARGE, **EVALUATION}
+# Recorded at commit fbabc00, while `table` still built two degrees past the
+# highest row it printed; no other digest covers the single-row `--n` path.
+SINGLE_ROW = {
+    f"table --family {kind} --n 12 --format json": digest
+    for kind, digest in [
+        ("deg-bernoulli", "0fab50bdb9dbe6bc515a0c292fc751eb7d49b1ce883c8c0c6b2c52b2900be83d"),
+        ("deg-bernoulli-num", "d6e68826aa4637f19f16a5538e0a608e77f48ad72baff62385c787278bb8109a"),
+        ("deg-cos-bernoulli", "b5b8d2155c261e7cbbbb014309691022d02ba36329a40726d3b242b53691ce8f"),
+        ("deg-cos-euler", "87351e7a1a63285e625bbc4ea2f67d684849f32d561b20ef585f8af4a62d8054"),
+        ("deg-cosine", "7dadc85a77b8e48c4046054d08f4b732853be9f0230e7c5612cec6eeffda5535"),
+        ("deg-euler", "eac64681bf118933cd5fd4b57940127990fa427cf06e9928795f1ad2bf7bf288"),
+        ("deg-euler-num", "fc571b78ef59c10883abd423744b981cf86d5cbf1a4cb92ef75d4bf0538fef57"),
+        ("deg-sin-bernoulli", "f7f419ffea3a12bc16f26c88f8cf36efac269854e7a96518601f909958f5bc71"),
+        ("deg-sin-euler", "7ff724e9362bb3116ccdc0995fbc899908b18c602cdb3b60479f6a3aab116b6f"),
+        ("deg-sine", "9658701ddb74dccca394956896e6dd984ccf82a8fcb67e1babeba75f026aa960"),
+    ]
+}
+DIGESTS = {**GOLDEN, **LARGE, **EVALUATION, **SINGLE_ROW}
 
 
 @pytest.mark.parametrize("command", sorted(DIGESTS))

@@ -22,6 +22,13 @@ def test_order_precondition():
         IdentityEngine(n_max=5, order=3)
 
 
+@pytest.mark.parametrize("n_max, order", [(True, 3), (2, 4.0)])
+def test_engine_sizes_must_be_ints(n_max, order):
+    # A bool would run as 0 or 1 and a float would fail late, inside range.
+    with pytest.raises(TypeError, match="must be an int"):
+        IdentityEngine(n_max, order)
+
+
 def test_unknown_tag_rejected(engine):
     with pytest.raises(ValueError):
         engine.verify("not-a-tag")
