@@ -86,7 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help='"all" or comma-separated tags (e.g. T2_cos,T6_reflect_sin)')
     p_ver.add_argument("--n-max", type=int, default=12)
     p_ver.add_argument("--order", type=int, default=None,
-                       help="truncation order (default: n_max + 2)")
+                       help="truncation order, at least n_max + 1 and echoed in the "
+                       "summary; the checks build to degree n_max + 1 whatever its "
+                       "value (default: n_max + 2)")
     p_ver.add_argument("--format", choices=("json", "text"), default="json")
 
     p_ser = sub.add_parser("series", help="print raw EGF coefficients of a kernel")

@@ -19,6 +19,12 @@ from .egfseries import EgfSeries
 from .multipoly import MPoly, PolyInput
 
 
+# Each factorial extends the cached one of degree n - 1 by one factor.  A cold
+# call first builds every _STRIDE-th lower degree from the bottom, so the
+# recursion through n - 1, n - 2, ... meets a cached degree within _STRIDE calls.
+_STRIDE = 64
+
+
 @lru_cache(maxsize=None, typed=True)
 def falling_factorial(u: PolyInput, n: int) -> MPoly:
     """u (u-1) ... (u-n+1); the empty product 1 for n = 0.  Cached, like
@@ -26,11 +32,12 @@ def falling_factorial(u: PolyInput, n: int) -> MPoly:
     factorials many times."""
     if n < 0:
         raise ValueError("falling factorial needs n >= 0")
-    u = MPoly.coerce(u)
-    result = MPoly.one()
-    for j in range(n):
-        result = result * (u - j)
-    return result
+    v = MPoly.coerce(u)
+    if n == 0:
+        return MPoly.one()
+    for m in range(n % _STRIDE, n, _STRIDE):
+        falling_factorial(u, m)
+    return falling_factorial(u, n - 1) * (v - (n - 1))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -44,12 +51,16 @@ def gen_falling_factorial(u: PolyInput, n: int, step: int = -1) -> MPoly:
         raise ValueError("generalized falling factorial needs n >= 0")
     if step not in (-1, 1):
         raise ValueError("step must be -1 or +1")
-    u = MPoly.coerce(u)
-    lam = MPoly.variable("l")
-    result = MPoly.one()
-    for j in range(n):
-        result = result * (u + lam.scale(step * j))
-    return result
+    v = MPoly.coerce(u)
+    if n == 0:
+        return MPoly.one()
+    # Ask for the lower degrees as the callers do, naming step only when it is
+    # +1, so that both share the cache entries.
+    kw = {"step": step} if step == 1 else {}
+    for m in range(n % _STRIDE, n, _STRIDE):
+        gen_falling_factorial(u, m, **kw)
+    factor = v + MPoly.variable("l").scale(step * (n - 1))
+    return gen_falling_factorial(u, n - 1, **kw) * factor
 
 
 class StirlingKind(enum.Enum):

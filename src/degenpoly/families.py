@@ -123,15 +123,20 @@ def kernel_series(which: str, order: int) -> EgfSeries:
     raise ValueError(f"unknown kernel {which!r}; expected 'bernoulli' or 'euler'")
 
 
-def _product(kind: FamilyKind, order: int, kernel, exp, cos_sin) -> FamilySequence:
+def _product(kind: FamilyKind, order: int, kernel, exp, cos_sin, route) -> FamilySequence:
     """Coefficients of the product that ``_STRUCTURE`` names for ``kind``, built
-    from the given constructors: kernel, then exp(x), then cos/sin."""
+    from the given constructors: kernel, then exp(x), then cos/sin.  For a
+    kind with a kernel and a trig factor, kernel times exp(x) is the plain
+    kernel family, which ``route`` (the caller's own cached builder) returns."""
     kernel_name, uses_x, trig = _STRUCTURE[kind]
     factors = []
-    if kernel_name is not None:
-        factors.append(kernel(kernel_name, order))
-    if uses_x:
-        factors.append(exp(MPoly.variable("x"), order))
+    if kernel_name is not None and trig is not None:
+        factors.append(EgfSeries(route(_KIND[kernel_name, None], order).polys))
+    else:
+        if kernel_name is not None:
+            factors.append(kernel(kernel_name, order))
+        if uses_x:
+            factors.append(exp(MPoly.variable("x"), order))
     if trig is not None:
         factors.append(cos_sin(order)[trig == "sin"])
     return FamilySequence(tuple(reduce(operator.mul, factors).coeffs))
@@ -140,7 +145,7 @@ def _product(kind: FamilyKind, order: int, kernel, exp, cos_sin) -> FamilySequen
 @lru_cache(maxsize=None, typed=True)
 def family(kind: FamilyKind, order: int) -> FamilySequence:
     """Generating-function route: coefficients of the defining product."""
-    return _product(kind, order, kernel_series, deg_exp_series, deg_cos_sin_series)
+    return _product(kind, order, kernel_series, deg_exp_series, deg_cos_sin_series, family)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -239,6 +244,5 @@ def classical_cos_sin_series(order: int) -> Tuple[EgfSeries, EgfSeries]:
 @lru_cache(maxsize=None, typed=True)
 def classical_family(kind: FamilyKind, order: int) -> FamilySequence:
     """The l = 0 counterpart of a family, built with plain exponentials."""
-    return _product(
-        kind, order, classical_kernel_series, classical_exp_series, classical_cos_sin_series
-    )
+    return _product(kind, order, classical_kernel_series, classical_exp_series,
+                    classical_cos_sin_series, classical_family)

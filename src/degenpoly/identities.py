@@ -2,9 +2,14 @@
 
 Every identity in the catalog is a named, machine-checkable exact
 polynomial equality over Q(i)[l, x, y, r].  A check builds both sides
-through independent routes, subtracts, and reports the residual; the
-verdict is "holds" exactly when the residual canonicalizes to the zero
-polynomial.  There is no tolerance anywhere.
+through independent routes and compares them; polynomials are canonical, so
+the verdict is "holds" exactly when the two sides are equal, that is when the
+residual lhs - rhs is the zero polynomial.  A failing check reports that
+residual.  There is no tolerance anywhere.
+
+The families are exact polynomials, so every construction is built to degree
+n_max + 1, the highest degree any check reads (T9 reads n + 1), whatever the
+truncation order.
 
 Reflection checks substitute l -> -l on families computed with symbolic l,
 so both sides live in the same ring and the (-1)^n sign rules are literal.
@@ -14,7 +19,7 @@ The catalog is the list ``_CATALOG`` at the end of the module; ``IdentityId``,
 ``CITATIONS`` and the dispatch of ``IdentityEngine.verify`` are derived from
 it, and its order is the report order.  To add an identity, write a check
 method ``_name(self, tag, n, *args)`` that returns an ``IdentityReport`` (most
-end with ``self._simple(tag, n, residuals)``), then add a row
+end with ``self._simple(tag, n, pairs)`` on (lhs, rhs) pairs), then add a row
 ``(tag, citation, check, args)``.  A cos/sin twin is one row with a pair of
 tags and a pair of citations; its check receives ``trig`` ("cos", then "sin")
 before ``args``.
@@ -96,12 +101,13 @@ class IdentityEngine:
             )
         self.n_max = n_max
         self.order = order
+        self.degree = n_max + 1  # every construction is built to this degree only
 
     # -- shared constructions (each built once, a family on first use) --
 
     @cached_property
     def polys(self) -> Dict[FamilyKind, Sequence[MPoly]]:
-        return _BuildOnMiss(lambda kind: family(kind, self.order).polys)
+        return _BuildOnMiss(lambda kind: family(kind, self.degree).polys)
 
     @cached_property
     def x0(self) -> Dict[FamilyKind, Sequence[MPoly]]:
@@ -111,20 +117,22 @@ class IdentityEngine:
 
     @cached_property
     def _u_table(self) -> List[MPoly]:
-        # U_k = sum_{l<=k} S2_deg(k, l) (x)_l for k = 0..order, from the Stirling
+        # U_k = sum_{l<=k} S2_deg(k, l) (x)_l for k = 0..degree, from the Stirling
         # table.  U_k equals (x)_{k,l}, but building it that way would let T7
         # and E63 check the generating-function route against itself.
         xv = MPoly.variable("x")
-        s2 = stirling_table(StirlingKind.DEGENERATE_SECOND, self.order)
+        s2 = stirling_table(StirlingKind.DEGENERATE_SECOND, self.degree)
         return [sum_products((1, s2.entry(k, l), falling_factorial(xv, l)) for l in range(k + 1))
-                for k in range(self.order + 1)]
+                for k in range(self.degree + 1)]
 
     # -- report helpers -----------------------------------------------
 
-    def _simple(self, tag: IdentityId, n: int, residuals: Sequence[MPoly]) -> IdentityReport:
-        for res in residuals:
-            if not res.is_zero():
-                return IdentityReport(tag, n, "fails", res)
+    def _simple(self, tag: IdentityId, n: int,
+                pairs: Sequence[Tuple[MPoly, MPoly]]) -> IdentityReport:
+        """Fails with the residual lhs - rhs of the first unequal pair."""
+        for lhs, rhs in pairs:
+            if lhs != rhs:
+                return IdentityReport(tag, n, "fails", lhs - rhs)
         return IdentityReport(tag, n, "holds")
 
     # -- the checks ----------------------------------------------------
@@ -133,10 +141,10 @@ class IdentityEngine:
         iy = MPoly.variable("y") * MPoly.I
         xiy = MPoly.variable("x") + iy
         euler, nums = self.polys[FamilyKind.DEG_EULER], self.x0[FamilyKind.DEG_EULER]
-        lhs = complex_series("euler", self.order).coefficient(n)
+        lhs = complex_series("euler", self.degree).coefficient(n)
         rhs1 = _binom_sum(n, lambda l: (gen_falling_factorial(iy, n - l), euler[l]))
         rhs2 = _binom_sum(n, lambda l: (gen_falling_factorial(xiy, n - l), nums[l]))
-        return self._simple(tag, n, [lhs - rhs1, lhs - rhs2])
+        return self._simple(tag, n, [(lhs, rhs1), (lhs, rhs2)])
 
     def _t1_conj(self, tag, n):
         yv = MPoly.variable("y")
@@ -145,17 +153,17 @@ class IdentityEngine:
         euler, nums = self.polys[FamilyKind.DEG_EULER], self.x0[FamilyKind.DEG_EULER]
         # The Euler polynomial at x - iy is the image of the one at x + iy
         # under the ring map y -> -y.
-        lhs = complex_series("euler", self.order).coefficient(n).substitute("y", -yv)
+        lhs = complex_series("euler", self.degree).coefficient(n).substitute("y", -yv)
         signed = [math.comb(n, l) * (-1) ** (n - l) for l in range(n + 1)]
         rhs1 = sum_products((b, gen_falling_factorial(iy, n - l, step=+1), euler[l])
                             for l, b in enumerate(signed))
         rhs2 = sum_products((b, gen_falling_factorial(iy_minus_x, n - l, step=+1), nums[l])
                             for l, b in enumerate(signed))
-        return self._simple(tag, n, [lhs - rhs1, lhs - rhs2])
+        return self._simple(tag, n, [(lhs, rhs1), (lhs, rhs2)])
 
     def _route_pair(self, tag, n, trig):
         kind = _KIND[None, trig]
-        return self._simple(tag, n, [self.polys[kind][n] - family_closed(kind, self.order)[n]])
+        return self._simple(tag, n, [(self.polys[kind][n], family_closed(kind, self.degree)[n])])
 
     def _convolution(self, tag, n, trig, kernel):
         # Theorem 3 / Section 3 theorem: kernel numbers convolved with the
@@ -164,37 +172,37 @@ class IdentityEngine:
         lhs = self.polys[kind][n]
         nums, trig_polys = self.x0[_KIND[kernel, None]], self.polys[_KIND[None, trig]]
         conv = _binom_sum(n, lambda k: (nums[k], trig_polys[n - k]))
-        closed = family_closed(kind, self.order)[n]
-        return self._simple(tag, n, [lhs - conv, lhs - closed])
+        closed = family_closed(kind, self.degree)[n]
+        return self._simple(tag, n, [(lhs, conv), (lhs, closed)])
 
     def _t4(self, tag, n, trig):
         euler_family = self.polys[_KIND["euler", trig]]
         lhs = self.polys[_KIND[None, trig]][n]
         acc = _binom_sum(n, lambda l: (gen_falling_factorial(1, n - l), euler_family[l]))
         rhs = (acc + euler_family[n]).scale(Fraction(1, 2))
-        return self._simple(tag, n, [lhs - rhs])
+        return self._simple(tag, n, [(lhs, rhs)])
 
     def _shift(self, tag, n, trig, kernel):
         polys = self.polys[_KIND[kernel, trig]]
         rv = MPoly.variable("r")
         lhs = polys[n].substitute("x", MPoly.variable("x") + rv)
         rhs = _binom_sum(n, lambda l: (polys[l], gen_falling_factorial(rv, n - l)))
-        return self._simple(tag, n, [lhs - rhs])
+        return self._simple(tag, n, [(lhs, rhs)])
 
     def _reflect(self, tag, n, trig, kernel):
         polys = self.polys[_KIND[kernel, trig]]
         sign_exp = n if trig == "cos" else n + 1
         lhs = polys[n].substitute("x", MPoly.one() - MPoly.variable("x"))
         rhs = polys[n].substitute("l", -MPoly.variable("l")).scale((-1) ** sign_exp)
-        return self._simple(tag, n, [lhs - rhs])
+        return self._simple(tag, n, [(lhs, rhs)])
 
     def _t9(self, tag, n, trig):
-        # Needs index n + 1; the constructor guarantees order >= n_max + 1.
+        # Reads index n + 1, which is why the engine builds to degree n_max + 1.
         bern_family = self.polys[_KIND["bernoulli", trig]]
         lhs = self.polys[_KIND[None, trig]][n].scale(n + 1)
         shifted = bern_family[n + 1].substitute("x", MPoly.variable("x") + 1)
         rhs = shifted - bern_family[n + 1]
-        return self._simple(tag, n, [lhs - rhs])
+        return self._simple(tag, n, [(lhs, rhs)])
 
     def _c10(self, tag, n, trig):
         bern_family = self.polys[_KIND["bernoulli", trig]]
@@ -202,12 +210,12 @@ class IdentityEngine:
         rhs = sum_products(
             (math.comb(n + 1, l), bern_family[l], gen_falling_factorial(1, n + 1 - l))
             for l in range(n + 1))
-        return self._simple(tag, n, [lhs - rhs])
+        return self._simple(tag, n, [(lhs, rhs)])
 
     def _e61_e62(self, tag, n):
         nums = self.x0[FamilyKind.DEG_BERNOULLI]
         return self._simple(tag, n, [
-            self.x0[_KIND["bernoulli", trig]][n] - trig_stirling_sum(trig, n, nums)
+            (self.x0[_KIND["bernoulli", trig]][n], trig_stirling_sum(trig, n, nums))
             for trig in ("cos", "sin")
         ])
 
@@ -222,7 +230,7 @@ class IdentityEngine:
         if binom_of == "k":
             return _binom_sum(n, lambda k: (self._u_table[k], y_polys[n - k]))
         xv = MPoly.variable("x")
-        s2 = stirling_table(StirlingKind.DEGENERATE_SECOND, self.order)
+        s2 = stirling_table(StirlingKind.DEGENERATE_SECOND, self.degree)
         return _binom_sum(n, lambda l: (falling_factorial(xv, l), sum_products(
             (1, s2.entry(k, l), y_polys[n - k]) for k in range(l, n + 1))))
 
@@ -231,39 +239,39 @@ class IdentityEngine:
         # vs n over k); check both and name the survivor.
         kind = _KIND["euler", trig]
         lhs = self.polys[kind][n]
-        residuals = {b: lhs - self._stirling2_sum(n, self.x0[kind], b) for b in ("k", "l")}
-        failing = [b for b, res in residuals.items() if not res.is_zero()]
+        rhs = {b: self._stirling2_sum(n, self.x0[kind], b) for b in ("k", "l")}
+        failing = [b for b, side in rhs.items() if side != lhs]
         if not failing:
             return IdentityReport(tag, n, "holds")
         if len(failing) == 2:
-            return IdentityReport(tag, n, "fails", residuals["k"], "both binomial variants fail")
+            return IdentityReport(tag, n, "fails", lhs - rhs["k"], "both binomial variants fail")
         lost = failing[0]
         note = (
             "inner Euler factor read with the deformation subscript as in the "
             f"surrounding displays; surviving variant: binom(n,{'l' if lost == 'k' else 'k'}); "
-            f"binom(n,{lost}) residual: {residuals[lost].to_text()}"
+            f"binom(n,{lost}) residual: {(lhs - rhs[lost]).to_text()}"
         )
         return IdentityReport(tag, n, "holds_variant", MPoly.zero(), note)
 
     def _e63(self, tag, n, trig):
         kind = _KIND["bernoulli", trig]
         rhs = self._stirling2_sum(n, self.x0[kind], "k")
-        return self._simple(tag, n, [self.polys[kind][n] - rhs])
+        return self._simple(tag, n, [(self.polys[kind][n], rhs)])
 
     def _l0(self, tag, n):
         return self._simple(tag, n, [
-            self.polys[kind][n].substitute("l", 0) - classical_family(kind, self.order)[n]
+            (self.polys[kind][n].substitute("l", 0), classical_family(kind, self.degree)[n])
             for kind in FamilyKind
         ])
 
     def _decomposition(self, tag, n):
-        e_re, e_im = complex_series("euler", self.order).coefficient(n).split_real_imag()
-        b_re, b_im = complex_series("bernoulli", self.order).coefficient(n).split_real_imag()
+        e_re, e_im = complex_series("euler", self.degree).coefficient(n).split_real_imag()
+        b_re, b_im = complex_series("bernoulli", self.degree).coefficient(n).split_real_imag()
         return self._simple(tag, n, [
-            e_re - self.polys[FamilyKind.DEG_COS_EULER][n],
-            e_im - self.polys[FamilyKind.DEG_SIN_EULER][n],
-            b_re - self.polys[FamilyKind.DEG_COS_BERNOULLI][n],
-            b_im - self.polys[FamilyKind.DEG_SIN_BERNOULLI][n],
+            (e_re, self.polys[FamilyKind.DEG_COS_EULER][n]),
+            (e_im, self.polys[FamilyKind.DEG_SIN_EULER][n]),
+            (b_re, self.polys[FamilyKind.DEG_COS_BERNOULLI][n]),
+            (b_im, self.polys[FamilyKind.DEG_SIN_BERNOULLI][n]),
         ])
 
     # -- public API ----------------------------------------------------

@@ -101,7 +101,7 @@ def _accumulate(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int], m: in
     outer, inner = (a, b) if len(a) <= len(b) else (b, a)
     if not outer:
         return
-    plain = list(inner.items())
+    plain = inner.items()
     # Partners of an outer term with i: i*i = -1 clears the i bit and flips the sign.
     turned = ([(k - 2 * _I, -c) if k >= _I else (k, c) for k, c in plain]
               if max(outer) >= _I else plain)
@@ -134,12 +134,14 @@ def _product(a: "MPoly", b: "MPoly") -> "MPoly":
 def sum_products(items: Iterable[Tuple[Scalar, "MPoly", "MPoly"]]) -> "MPoly":
     """sum c*a*b over (c, a, b) triples, in one dict of numerators over
     D = lcm(a._den * b._den * c.denominator), canonicalized once: the numerators
-    of each a*b are multiplied by c.numerator * D // that term's denominator."""
+    of each a*b are multiplied by c.numerator * D // that term's denominator.
+    A triple with a zero polynomial adds nothing; its scalar is still checked."""
     terms = []
     for c, a, b in items:
         if type(c) is not int:
             c = as_rat(c)
-        terms.append((c.numerator, a._den * b._den * c.denominator, a._num, b._num))
+        if a._num and b._num:
+            terms.append((c.numerator, a._den * b._den * c.denominator, a._num, b._num))
     den = lcm(*(d for _, d, _, _ in terms))
     out: Dict[int, int] = {}
     for p, d, a, b in terms:
@@ -243,9 +245,22 @@ class MPoly:
         return result
 
     def substitute(self, var: str, replacement: PolyInput) -> "MPoly":
-        """Image under the ring map sending ``var`` to ``replacement``."""
+        """Image under the ring map sending ``var`` to ``replacement``.
+
+        Three maps need no products: ``var -> 0`` keeps the terms free of
+        ``var``, ``var -> -var`` negates the terms of odd degree in ``var``,
+        and ``var -> var`` is the identity."""
         shift = _shift(var)
         replacement = MPoly.coerce(replacement)
+        rep, unit = replacement._num, 1 << shift
+        if not rep:
+            field = _FIELD << shift
+            return _make({k: c for k, c in self._num.items() if not k & field}, self._den)
+        if replacement._den == 1 and len(rep) == 1 and rep.get(unit) in (1, -1):
+            if rep[unit] == 1:
+                return self
+            # The low bit of the field is the parity of the exponent.
+            return _wrap({k: -c if k & unit else c for k, c in self._num.items()}, self._den)
         groups: Dict[int, Dict[int, int]] = {}
         for k, c in self._num.items():
             e = k >> shift & _FIELD

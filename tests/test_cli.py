@@ -147,13 +147,15 @@ def test_verify_order_violation(capsys):
     assert "order" in err
 
 
+# Each case has an explicit id, so deleting one never renames the others; the
+# ids keep the names the cases had when pytest numbered them.
 @pytest.mark.parametrize("argv", [
-    ["table", "--family", "deg-cosine", "--n", "40000"],
-    ["table", "--family", "deg-euler", "--n-max", "32768"],
-    ["verify", "--identity", "T2_cos", "--n-max", "40000"],
-    ["verify", "--n-max", "3", "--order", "32768"],
-    ["stirling", "--kind", "first", "--n-max", "32768"],
-    ["series", "--kernel", "euler", "--order", "32768"],
+    pytest.param(["table", "--family", "deg-cosine", "--n", "40000"], id="argv0"),
+    pytest.param(["table", "--family", "deg-euler", "--n-max", "32768"], id="argv1"),
+    pytest.param(["verify", "--identity", "T2_cos", "--n-max", "40000"], id="argv2"),
+    pytest.param(["verify", "--n-max", "3", "--order", "32768"], id="argv3"),
+    pytest.param(["stirling", "--kind", "first", "--n-max", "32768"], id="argv4"),
+    pytest.param(["series", "--kernel", "euler", "--order", "32768"], id="argv5"),
 ])
 def test_sizes_past_the_exponent_field_fail_fast(capsys, argv):
     # Exponents must stay below 2^15; such a size is rejected before any build.
@@ -164,18 +166,34 @@ def test_sizes_past_the_exponent_field_fail_fast(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["table", "--family", "deg-cosine", "--n", "-1"],
-    ["table", "--family", "deg-euler", "--n-max", "-1"],
-    ["stirling", "--kind", "first", "--n-max", "-1"],
-    ["verify", "--identity", "T2_cos", "--n-max", "-1"],
-    ["verify", "--n-max", "3", "--order", "-1"],
-    ["series", "--kernel", "euler", "--order", "-1"],
+    pytest.param(["table", "--family", "deg-cosine", "--n", "-1"], id="argv0"),
+    pytest.param(["table", "--family", "deg-euler", "--n-max", "-1"], id="argv1"),
+    pytest.param(["stirling", "--kind", "first", "--n-max", "-1"], id="argv2"),
+    pytest.param(["verify", "--identity", "T2_cos", "--n-max", "-1"], id="argv3"),
+    pytest.param(["verify", "--n-max", "3", "--order", "-1"], id="argv4"),
+    pytest.param(["series", "--kernel", "euler", "--order", "-1"], id="argv5"),
 ])
 def test_negative_sizes_fail_fast(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "-1" in err
+
+
+def test_verify_reports_do_not_depend_on_the_order(capsys):
+    # verify builds to degree n_max + 1 whatever the order, so even an order
+    # at the exponent limit returns at once; the order is still checked and
+    # echoed in the summary.
+    outputs = {}
+    for order in (7, 40, 32767):
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "6", "--order", str(order))
+        assert code == 0
+        *reports, summary = out.splitlines()
+        outputs[order] = reports, json.loads(summary)["summary"]
+    reports, summary = outputs[7]
+    assert len(reports) == 29 * 7 and summary["order"] == 7
+    for order in (40, 32767):
+        assert outputs[order] == (reports, {**summary, "order": order})
 
 
 def test_verify_output_is_deterministic(capsys):

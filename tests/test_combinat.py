@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from degenpoly.combinat import (
@@ -68,11 +70,26 @@ def test_stirling_second_reconstruction():
 def test_stirling_degenerate_second_rows_give_degenerate_falling_factorial():
     # U_k = sum_l S2_deg(k, l) (x)_l is (x)_{k,l}, the degenerate analogue of
     # sum_k S(n, k) (x)_k = x^n.  The engine builds U_k from the Stirling table
-    # only; this compares it with the directly expanded product.
-    table = IdentityEngine(12, 14)._u_table
+    # only; this compares it with the directly expanded product.  The engine
+    # builds U_k to degree n_max + 1, so n_max 13 gives the 15 rows k = 0..14.
+    table = IdentityEngine(13, 15)._u_table
     assert len(table) == 15
     for k, u_k in enumerate(table):
         assert u_k == gen_falling_factorial(X, k)
+
+
+@pytest.mark.parametrize("factorial, zero", [(gen_falling_factorial, MPoly.zero()),
+                                              (falling_factorial, 0)])
+def test_cold_factorial_of_high_degree_does_not_recurse_that_deep(factorial, zero):
+    # Each degree extends the cached one below it; a cold call at degree 5000,
+    # far past the recursion limit, builds the lower degrees without recursing
+    # 5000 calls deep.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(min(limit, 1000))
+    try:
+        assert factorial(zero, 5000).is_zero()
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_stirling_second_degenerate_values():

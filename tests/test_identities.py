@@ -162,14 +162,41 @@ def test_each_check_reads_its_own_family(monkeypatch, kind):
     import degenpoly.identities as identities
     from degenpoly.families import FamilySequence
 
+    r = MPoly.variable("r")
+
     def perturbed(asked, order):
         seq = family(asked, order)
         if asked is not kind:
             return seq
-        r = MPoly.variable("r")
         return FamilySequence(tuple(p + r for p in seq.polys))
 
     monkeypatch.setattr(identities, "family", perturbed)
     reports, _ = IdentityEngine(4, 6).verify_all()
     failing = {rep.id.value for rep in reports if rep.verdict == "fails"}
     assert failing == _MUTATION_MAP[kind]
+    if kind is FamilyKind.DEG_COSINE:
+        # T2_cos compares the family with its closed form: the residual is r.
+        t2 = [rep for rep in reports if rep.id is IdentityId.T2_COS]
+        assert all(rep.verdict == "fails" and rep.lhs_minus_rhs == r for rep in t2)
+
+
+def test_engine_builds_nothing_past_degree_n_max_plus_one(monkeypatch):
+    # The polynomials do not depend on the truncation order, so a large order
+    # must not make the engine build higher degrees.
+    import degenpoly.identities as identities
+
+    asked = []
+
+    def recording(builder):
+        def build(which, size):
+            asked.append((builder.__name__, size))
+            return builder(which, size)
+        return build
+
+    names = {"family", "family_closed", "classical_family", "complex_series", "stirling_table"}
+    for name in names:
+        monkeypatch.setattr(identities, name, recording(getattr(identities, name)))
+    _, summary = IdentityEngine(4, 40).verify_all()
+    assert summary["fails"] == 0
+    assert {name for name, _ in asked} == names
+    assert max(size for _, size in asked) == 5

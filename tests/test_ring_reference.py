@@ -135,6 +135,18 @@ def test_substitute(p, idx, q):
 
 
 @ring_settings
+@given(ref_polys, st.sampled_from(range(4)), st.sampled_from([0, -1, 1]))
+def test_substitute_zero_negation_and_identity(p, idx, sign):
+    # v -> 0 keeps the terms free of v, v -> -v negates the odd powers of v and
+    # v -> v changes nothing; none of the three needs a product.
+    v = MPoly.variable(VARIABLES[idx])
+    replacement = 0 if sign == 0 else v.scale(sign)
+    unit = tuple(int(j == idx) for j in range(4))
+    ref = {unit: (Fraction(sign), Fraction(0))} if sign else {}
+    assert_same(to_mpoly(p).substitute(VARIABLES[idx], replacement), r_substitute(p, idx, ref))
+
+
+@ring_settings
 @given(ref_polys, points)
 def test_evaluate(p, point):
     # evaluate binds rationals to a polynomial without i: a complex coordinate
