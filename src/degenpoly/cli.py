@@ -165,10 +165,10 @@ def _cmd_stirling(args) -> int:
 def _cmd_verify(args) -> int:
     order = args.order if args.order is not None else args.n_max + 2
     _check_size("order", order)
-    try:
-        engine = IdentityEngine(args.n_max, order)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    if order < args.n_max + 1:
+        raise SystemExit(f"error: order {order} too small: "
+                         f"need order >= n_max + 1 = {args.n_max + 1}")
+    engine = IdentityEngine(args.n_max)
     if args.identity == "all":
         tags = list(IdentityId)
     else:

@@ -13,54 +13,49 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple
+from typing import List, Tuple
 
 from .egfseries import EgfSeries
 from .multipoly import MPoly, PolyInput
 
 
-# Each factorial extends the cached one of degree n - 1 by one factor.  A cold
-# call first builds every _STRIDE-th lower degree from the bottom, so the
-# recursion through n - 1, n - 2, ... meets a cached degree within _STRIDE calls.
-_STRIDE = 64
+# The three factor steps: u(u-1)(u-2)..., u(u-l)(u-2l)... and u(u+l)(u+2l)....
+_MINUS_ONE, _MINUS_L, _PLUS_L = MPoly.constant(-1), -MPoly.variable("l"), MPoly.variable("l")
 
 
 @lru_cache(maxsize=None, typed=True)
-def falling_factorial(u: PolyInput, n: int) -> MPoly:
-    """u (u-1) ... (u-n+1); the empty product 1 for n = 0.  Cached, like
-    ``gen_falling_factorial``: the checks' sums ask for the same few
-    factorials many times."""
+def _ladder(u: PolyInput, step: MPoly) -> List[MPoly]:
+    """The products of degree 0 and 1, [1, u]; ``_climb`` appends the higher
+    ones.  A float or bool u raises here, so it never gets an entry."""
+    return [MPoly.one(), MPoly.coerce(u)]
+
+
+def _climb(u: PolyInput, n: int, step: MPoly) -> MPoly:
+    """Product of (u + j*step) for j = 0..n-1, extending the cached list of
+    lower degrees one factor at a time: the checks' sums ask for the same few
+    factorials many times, and a cold high degree never recurses."""
     if n < 0:
-        raise ValueError("falling factorial needs n >= 0")
-    v = MPoly.coerce(u)
-    if n == 0:
-        return MPoly.one()
-    for m in range(n % _STRIDE, n, _STRIDE):
-        falling_factorial(u, m)
-    return falling_factorial(u, n - 1) * (v - (n - 1))
+        raise ValueError("a factorial product needs n >= 0")
+    rungs = _ladder(u, step)
+    for j in range(len(rungs), n + 1):
+        rungs.append(rungs[-1] * (rungs[1] + step.scale(j - 1)))
+    return rungs[n]
 
 
-@lru_cache(maxsize=None, typed=True)
+def falling_factorial(u: PolyInput, n: int) -> MPoly:
+    """u (u-1) ... (u-n+1); the empty product 1 for n = 0."""
+    return _climb(u, n, _MINUS_ONE)
+
+
 def gen_falling_factorial(u: PolyInput, n: int, step: int = -1) -> MPoly:
     """Product of (u + step*j*l) for j = 0..n-1.
 
     step=-1 gives the descending variant u(u-l)(u-2l)...; step=+1 the
     ascending one u(u+l)(u+2l)....
     """
-    if n < 0:
-        raise ValueError("generalized falling factorial needs n >= 0")
     if step not in (-1, 1):
         raise ValueError("step must be -1 or +1")
-    v = MPoly.coerce(u)
-    if n == 0:
-        return MPoly.one()
-    # Ask for the lower degrees as the callers do, naming step only when it is
-    # +1, so that both share the cache entries.
-    kw = {"step": step} if step == 1 else {}
-    for m in range(n % _STRIDE, n, _STRIDE):
-        gen_falling_factorial(u, m, **kw)
-    factor = v + MPoly.variable("l").scale(step * (n - 1))
-    return gen_falling_factorial(u, n - 1, **kw) * factor
+    return _climb(u, n, _PLUS_L if step == 1 else _MINUS_L)
 
 
 class StirlingKind(enum.Enum):

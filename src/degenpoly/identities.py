@@ -7,9 +7,9 @@ the verdict is "holds" exactly when the two sides are equal, that is when the
 residual lhs - rhs is the zero polynomial.  A failing check reports that
 residual.  There is no tolerance anywhere.
 
-The families are exact polynomials, so every construction is built to degree
-n_max + 1, the highest degree any check reads (T9 reads n + 1), whatever the
-truncation order.
+The families are exact polynomials, so the engine takes no truncation order:
+every construction is built to degree n_max + 1, the highest degree any check
+reads (T9 reads n + 1).
 
 Reflection checks substitute l -> -l on families computed with symbolic l,
 so both sides live in the same ring and the (-1)^n sign rules are literal.
@@ -47,18 +47,6 @@ from .families import (
 from .multipoly import MPoly, sum_products
 
 
-class _BuildOnMiss(dict):
-    """A dict that builds a missing value with ``build(key)`` and keeps it."""
-
-    def __init__(self, build: Callable):
-        super().__init__()
-        self._build = build
-
-    def __missing__(self, key):
-        value = self[key] = self._build(key)
-        return value
-
-
 def _binom_sum(n: int, term: Callable[[int], Tuple[MPoly, MPoly]]) -> MPoly:
     """sum_{k=0}^n binom(n, k) a_k b_k, where term(k) is the pair (a_k, b_k)."""
     return sum_products((math.comb(n, k), *term(k)) for k in range(n + 1))
@@ -87,33 +75,25 @@ class IdentityReport(NamedTuple):
 
 
 class IdentityEngine:
-    """Builds families once and runs exact checks for each identity tag."""
+    """Runs exact checks for each identity tag on constructions of degree n_max + 1."""
 
-    def __init__(self, n_max: int, order: int):
-        for name, size in (("n_max", n_max), ("order", order)):
-            if isinstance(size, bool) or not isinstance(size, int):
-                raise TypeError(f"{name} must be an int, got {type(size).__name__}")
+    def __init__(self, n_max: int):
+        if isinstance(n_max, bool) or not isinstance(n_max, int):
+            raise TypeError(f"n_max must be an int, got {type(n_max).__name__}")
         if n_max < 0:
             raise ValueError("n_max must be non-negative")
-        if order < n_max + 1:
-            raise ValueError(
-                f"order {order} too small: need order >= n_max + 1 = {n_max + 1}"
-            )
         self.n_max = n_max
-        self.order = order
         self.degree = n_max + 1  # every construction is built to this degree only
+        self._x0: Dict[FamilyKind, List[MPoly]] = {}
 
-    # -- shared constructions (each built once, a family on first use) --
+    # -- tables of the engine's own (the families are cached by ``family``) --
 
-    @cached_property
-    def polys(self) -> Dict[FamilyKind, Sequence[MPoly]]:
-        return _BuildOnMiss(lambda kind: family(kind, self.degree).polys)
-
-    @cached_property
-    def x0(self) -> Dict[FamilyKind, Sequence[MPoly]]:
+    def x0(self, kind: FamilyKind) -> List[MPoly]:
         # The x = 0 polynomials; for the plain Euler/Bernoulli families
         # these are the numbers, by substitution in the polynomial family.
-        return _BuildOnMiss(lambda kind: [p.substitute("x", 0) for p in self.polys[kind]])
+        if kind not in self._x0:
+            self._x0[kind] = [p.substitute("x", 0) for p in family(kind, self.degree).polys]
+        return self._x0[kind]
 
     @cached_property
     def _u_table(self) -> List[MPoly]:
@@ -140,7 +120,7 @@ class IdentityEngine:
     def _t1_expand(self, tag, n):
         iy = MPoly.variable("y") * MPoly.I
         xiy = MPoly.variable("x") + iy
-        euler, nums = self.polys[FamilyKind.DEG_EULER], self.x0[FamilyKind.DEG_EULER]
+        euler, nums = family(FamilyKind.DEG_EULER, self.degree), self.x0(FamilyKind.DEG_EULER)
         lhs = complex_series("euler", self.degree).coefficient(n)
         rhs1 = _binom_sum(n, lambda l: (gen_falling_factorial(iy, n - l), euler[l]))
         rhs2 = _binom_sum(n, lambda l: (gen_falling_factorial(xiy, n - l), nums[l]))
@@ -150,7 +130,7 @@ class IdentityEngine:
         yv = MPoly.variable("y")
         iy = yv * MPoly.I
         iy_minus_x = iy - MPoly.variable("x")
-        euler, nums = self.polys[FamilyKind.DEG_EULER], self.x0[FamilyKind.DEG_EULER]
+        euler, nums = family(FamilyKind.DEG_EULER, self.degree), self.x0(FamilyKind.DEG_EULER)
         # The Euler polynomial at x - iy is the image of the one at x + iy
         # under the ring map y -> -y.
         lhs = complex_series("euler", self.degree).coefficient(n).substitute("y", -yv)
@@ -162,35 +142,35 @@ class IdentityEngine:
         return self._simple(tag, n, [(lhs, rhs1), (lhs, rhs2)])
 
     def _route_pair(self, tag, n, trig):
-        kind = _KIND[None, trig]
-        return self._simple(tag, n, [(self.polys[kind][n], family_closed(kind, self.degree)[n])])
+        kind, degree = _KIND[None, trig], self.degree
+        return self._simple(tag, n, [(family(kind, degree)[n], family_closed(kind, degree)[n])])
 
     def _convolution(self, tag, n, trig, kernel):
         # Theorem 3 / Section 3 theorem: kernel numbers convolved with the
         # trig polynomials, and the closed form.
         kind = _KIND[kernel, trig]
-        lhs = self.polys[kind][n]
-        nums, trig_polys = self.x0[_KIND[kernel, None]], self.polys[_KIND[None, trig]]
+        lhs = family(kind, self.degree)[n]
+        nums, trig_polys = self.x0(_KIND[kernel, None]), family(_KIND[None, trig], self.degree)
         conv = _binom_sum(n, lambda k: (nums[k], trig_polys[n - k]))
         closed = family_closed(kind, self.degree)[n]
         return self._simple(tag, n, [(lhs, conv), (lhs, closed)])
 
     def _t4(self, tag, n, trig):
-        euler_family = self.polys[_KIND["euler", trig]]
-        lhs = self.polys[_KIND[None, trig]][n]
+        euler_family = family(_KIND["euler", trig], self.degree)
+        lhs = family(_KIND[None, trig], self.degree)[n]
         acc = _binom_sum(n, lambda l: (gen_falling_factorial(1, n - l), euler_family[l]))
         rhs = (acc + euler_family[n]).scale(Fraction(1, 2))
         return self._simple(tag, n, [(lhs, rhs)])
 
     def _shift(self, tag, n, trig, kernel):
-        polys = self.polys[_KIND[kernel, trig]]
+        polys = family(_KIND[kernel, trig], self.degree)
         rv = MPoly.variable("r")
         lhs = polys[n].substitute("x", MPoly.variable("x") + rv)
         rhs = _binom_sum(n, lambda l: (polys[l], gen_falling_factorial(rv, n - l)))
         return self._simple(tag, n, [(lhs, rhs)])
 
     def _reflect(self, tag, n, trig, kernel):
-        polys = self.polys[_KIND[kernel, trig]]
+        polys = family(_KIND[kernel, trig], self.degree)
         sign_exp = n if trig == "cos" else n + 1
         lhs = polys[n].substitute("x", MPoly.one() - MPoly.variable("x"))
         rhs = polys[n].substitute("l", -MPoly.variable("l")).scale((-1) ** sign_exp)
@@ -198,24 +178,24 @@ class IdentityEngine:
 
     def _t9(self, tag, n, trig):
         # Reads index n + 1, which is why the engine builds to degree n_max + 1.
-        bern_family = self.polys[_KIND["bernoulli", trig]]
-        lhs = self.polys[_KIND[None, trig]][n].scale(n + 1)
+        bern_family = family(_KIND["bernoulli", trig], self.degree)
+        lhs = family(_KIND[None, trig], self.degree)[n].scale(n + 1)
         shifted = bern_family[n + 1].substitute("x", MPoly.variable("x") + 1)
         rhs = shifted - bern_family[n + 1]
         return self._simple(tag, n, [(lhs, rhs)])
 
     def _c10(self, tag, n, trig):
-        bern_family = self.polys[_KIND["bernoulli", trig]]
-        lhs = self.polys[_KIND[None, trig]][n].scale(n + 1)
+        bern_family = family(_KIND["bernoulli", trig], self.degree)
+        lhs = family(_KIND[None, trig], self.degree)[n].scale(n + 1)
         rhs = sum_products(
             (math.comb(n + 1, l), bern_family[l], gen_falling_factorial(1, n + 1 - l))
             for l in range(n + 1))
         return self._simple(tag, n, [(lhs, rhs)])
 
     def _e61_e62(self, tag, n):
-        nums = self.x0[FamilyKind.DEG_BERNOULLI]
+        nums = self.x0(FamilyKind.DEG_BERNOULLI)
         return self._simple(tag, n, [
-            (self.x0[_KIND["bernoulli", trig]][n], trig_stirling_sum(trig, n, nums))
+            (self.x0(_KIND["bernoulli", trig])[n], trig_stirling_sum(trig, n, nums))
             for trig in ("cos", "sin")
         ])
 
@@ -238,8 +218,8 @@ class IdentityEngine:
         # Theorem 7's two displays disagree on the binomial index (n over l
         # vs n over k); check both and name the survivor.
         kind = _KIND["euler", trig]
-        lhs = self.polys[kind][n]
-        rhs = {b: self._stirling2_sum(n, self.x0[kind], b) for b in ("k", "l")}
+        lhs = family(kind, self.degree)[n]
+        rhs = {b: self._stirling2_sum(n, self.x0(kind), b) for b in ("k", "l")}
         failing = [b for b, side in rhs.items() if side != lhs]
         if not failing:
             return IdentityReport(tag, n, "holds")
@@ -255,12 +235,13 @@ class IdentityEngine:
 
     def _e63(self, tag, n, trig):
         kind = _KIND["bernoulli", trig]
-        rhs = self._stirling2_sum(n, self.x0[kind], "k")
-        return self._simple(tag, n, [(self.polys[kind][n], rhs)])
+        rhs = self._stirling2_sum(n, self.x0(kind), "k")
+        return self._simple(tag, n, [(family(kind, self.degree)[n], rhs)])
 
     def _l0(self, tag, n):
         return self._simple(tag, n, [
-            (self.polys[kind][n].substitute("l", 0), classical_family(kind, self.degree)[n])
+            (family(kind, self.degree)[n].substitute("l", 0),
+             classical_family(kind, self.degree)[n])
             for kind in FamilyKind
         ])
 
@@ -268,10 +249,10 @@ class IdentityEngine:
         e_re, e_im = complex_series("euler", self.degree).coefficient(n).split_real_imag()
         b_re, b_im = complex_series("bernoulli", self.degree).coefficient(n).split_real_imag()
         return self._simple(tag, n, [
-            (e_re, self.polys[FamilyKind.DEG_COS_EULER][n]),
-            (e_im, self.polys[FamilyKind.DEG_SIN_EULER][n]),
-            (b_re, self.polys[FamilyKind.DEG_COS_BERNOULLI][n]),
-            (b_im, self.polys[FamilyKind.DEG_SIN_BERNOULLI][n]),
+            (e_re, family(FamilyKind.DEG_COS_EULER, self.degree)[n]),
+            (e_im, family(FamilyKind.DEG_SIN_EULER, self.degree)[n]),
+            (b_re, family(FamilyKind.DEG_COS_BERNOULLI, self.degree)[n]),
+            (b_im, family(FamilyKind.DEG_SIN_BERNOULLI, self.degree)[n]),
         ])
 
     # -- public API ----------------------------------------------------

@@ -72,7 +72,7 @@ def test_stirling_degenerate_second_rows_give_degenerate_falling_factorial():
     # sum_k S(n, k) (x)_k = x^n.  The engine builds U_k from the Stirling table
     # only; this compares it with the directly expanded product.  The engine
     # builds U_k to degree n_max + 1, so n_max 13 gives the 15 rows k = 0..14.
-    table = IdentityEngine(13, 15)._u_table
+    table = IdentityEngine(13)._u_table
     assert len(table) == 15
     for k, u_k in enumerate(table):
         assert u_k == gen_falling_factorial(X, k)
@@ -90,6 +90,24 @@ def test_cold_factorial_of_high_degree_does_not_recurse_that_deep(factorial, zer
         assert factorial(zero, 5000).is_zero()
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_the_three_factor_steps_of_one_u_share_no_entries():
+    # Each step caches its own products of u; asking all three in interleaved,
+    # non-monotone degrees must still give each its own product, as a plain
+    # product loop builds it.
+    u = MPoly.variable("y") - 2
+    ladders = [
+        (lambda n: falling_factorial(u, n), lambda j: u - j),
+        (lambda n: gen_falling_factorial(u, n), lambda j: u - L.scale(j)),
+        (lambda n: gen_falling_factorial(u, n, step=+1), lambda j: u + L.scale(j)),
+    ]
+    for n in (5, 2, 7, 0, 6):
+        for factorial, factor in ladders:
+            product = MPoly.one()
+            for j in range(n):
+                product = product * factor(j)
+            assert factorial(n) == product
 
 
 def test_stirling_second_degenerate_values():

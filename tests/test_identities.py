@@ -10,23 +10,18 @@ from degenpoly.multipoly import MPoly
 
 @pytest.fixture(scope="module")
 def engine():
-    return IdentityEngine(n_max=6, order=8)
+    return IdentityEngine(n_max=6)
 
 
 def test_every_tag_has_a_citation():
     assert set(CITATIONS) == set(IdentityId)
 
 
-def test_order_precondition():
-    with pytest.raises(ValueError, match="order"):
-        IdentityEngine(n_max=5, order=3)
-
-
-@pytest.mark.parametrize("n_max, order", [(True, 3), (2, 4.0)])
-def test_engine_sizes_must_be_ints(n_max, order):
+@pytest.mark.parametrize("n_max", [True, 2.0])
+def test_engine_sizes_must_be_ints(n_max):
     # A bool would run as 0 or 1 and a float would fail late, inside range.
     with pytest.raises(TypeError, match="must be an int"):
-        IdentityEngine(n_max, order)
+        IdentityEngine(n_max)
 
 
 def test_unknown_tag_rejected(engine):
@@ -40,17 +35,26 @@ def test_t2_sin_degree_zero_holds(engine):
     assert rep.lhs_minus_rhs.is_zero()
 
 
-def test_single_check_builds_only_its_family():
-    fresh = IdentityEngine(4, 6)
+def test_single_check_builds_only_its_family(monkeypatch):
+    import degenpoly.identities as identities
+
+    asked = []
+
+    def recording(kind, size):
+        asked.append(kind)
+        return family(kind, size)
+
+    monkeypatch.setattr(identities, "family", recording)
+    fresh = IdentityEngine(4)
     fresh.verify(IdentityId.T2_SIN)
-    assert set(fresh.polys) == {FamilyKind.DEG_SINE}
-    assert not fresh.x0
+    assert set(asked) == {FamilyKind.DEG_SINE}
+    assert not fresh._x0
 
 
 def test_t9_degree_zero_by_hand(engine):
     # C_0 = 1 must equal the first forward difference of the degree-1
     # cosine-Bernoulli polynomial; worked by hand: beta1^c = x + (l-1)/2 - ...
-    bc = family(FamilyKind.DEG_COS_BERNOULLI, engine.order)
+    bc = family(FamilyKind.DEG_COS_BERNOULLI, engine.degree)
     diff = bc[1].substitute("x", MPoly.variable("x") + 1) - bc[1]
     assert diff == MPoly.one()
     assert engine.verify(IdentityId.T9_DIFF_COS)[0].verdict == "holds"
@@ -63,7 +67,7 @@ def test_reflection_sample(engine):
 
 def test_shift_specializations(engine):
     # The symbolic-r shift identity must survive specializing r.
-    ce = family(FamilyKind.DEG_COS_EULER, engine.order)
+    ce = family(FamilyKind.DEG_COS_EULER, engine.degree)
     from degenpoly.combinat import gen_falling_factorial
     import math
 
@@ -113,15 +117,15 @@ def test_reports_serialize_to_json(engine):
 
 
 def test_module_level_helpers():
-    reports = IdentityEngine(3, 5).verify(IdentityId.T4_COS)
+    reports = IdentityEngine(3).verify(IdentityId.T4_COS)
     assert [r.n for r in reports] == [0, 1, 2, 3]
-    all_reports, summary = IdentityEngine(2, 4).verify_all()
+    all_reports, summary = IdentityEngine(2).verify_all()
     assert summary == summarize(all_reports)
     assert summary["fails"] == 0
 
 
 def test_degenerate_run_all_hold_at_n_zero():
-    _, summary = IdentityEngine(0, 2).verify_all()
+    _, summary = IdentityEngine(0).verify_all()
     assert summary["fails"] == 0
 
 
@@ -171,7 +175,7 @@ def test_each_check_reads_its_own_family(monkeypatch, kind):
         return FamilySequence(tuple(p + r for p in seq.polys))
 
     monkeypatch.setattr(identities, "family", perturbed)
-    reports, _ = IdentityEngine(4, 6).verify_all()
+    reports, _ = IdentityEngine(4).verify_all()
     failing = {rep.id.value for rep in reports if rep.verdict == "fails"}
     assert failing == _MUTATION_MAP[kind]
     if kind is FamilyKind.DEG_COSINE:
@@ -181,8 +185,8 @@ def test_each_check_reads_its_own_family(monkeypatch, kind):
 
 
 def test_engine_builds_nothing_past_degree_n_max_plus_one(monkeypatch):
-    # The polynomials do not depend on the truncation order, so a large order
-    # must not make the engine build higher degrees.
+    # The polynomials do not depend on a truncation order, so the engine
+    # builds nothing past the degree n_max + 1 that T9 reads.
     import degenpoly.identities as identities
 
     asked = []
@@ -196,7 +200,7 @@ def test_engine_builds_nothing_past_degree_n_max_plus_one(monkeypatch):
     names = {"family", "family_closed", "classical_family", "complex_series", "stirling_table"}
     for name in names:
         monkeypatch.setattr(identities, name, recording(getattr(identities, name)))
-    _, summary = IdentityEngine(4, 40).verify_all()
+    _, summary = IdentityEngine(4).verify_all()
     assert summary["fails"] == 0
     assert {name for name, _ in asked} == names
     assert max(size for _, size in asked) == 5

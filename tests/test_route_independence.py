@@ -72,8 +72,12 @@ def test_generating_function_route_runs_only_its_own_constructors():
     calls = _record(lambda: [family(kind, 6) for kind in FamilyKind])
     assert {f for m, f, _ in calls if m == "degenpoly.families"} >= GF_CONSTRUCTORS
     route = {("degenpoly.families", name) for name in GF_CONSTRUCTORS}
-    route.add(("degenpoly.combinat", "gen_falling_factorial"))
+    # The kernels' factorials: the wrapper and the factor ladder it climbs,
+    # which the closed-form factorials also climb, each on its own (u, step).
+    route |= {("degenpoly.combinat", name)
+              for name in ("gen_falling_factorial", "_ladder", "_climb")}
     assert _own(calls, lambda m, f: (m, f) in route) == set()
+    assert not {f for _, f, _ in calls} & {"falling_factorial", "stirling_table"}
 
 
 def test_classical_route_calls_no_generating_function_constructor():
@@ -101,7 +105,7 @@ def test_closed_form_route_reaches_the_kernels_only_through_the_plain_kernel_fam
 
 
 def test_u_table_never_builds_the_degenerate_exponential():
-    engine = IdentityEngine(6, 8)
+    engine = IdentityEngine(6)
     calls = _record(lambda: engine._u_table)
     assert ("degenpoly.identities", "_u_table") in {(m, f) for m, f, _ in calls}
     assert _own(calls, lambda m, f: m == "degenpoly.combinat"
