@@ -3,15 +3,21 @@
 A series of order N stores polynomials a_0..a_N representing
 sum a_n t^n / n!.  Multiplication is therefore the binomial convolution
 c_n = sum_k binom(n,k) a_k b_{n-k}, and arithmetic is a congruence mod
-t^{N+1}: coefficients beyond the order are never consulted.
+t^{N+1}: coefficients beyond the order are never consulted.  ``binom_sum``
+is that convolution, written once for the series, the closed forms and the checks.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Tuple
 
 from .multipoly import MPoly, PolyInput, sum_products
+
+
+def binom_sum(n: int, term: Callable[[int], Tuple[MPoly, MPoly]]) -> MPoly:
+    """sum_{k=0}^n binom(n, k) a_k b_k, where term(k) is the pair (a_k, b_k)."""
+    return sum_products((math.comb(n, k), *term(k)) for k in range(n + 1))
 
 
 class EgfSeries:
@@ -48,10 +54,7 @@ class EgfSeries:
         a, b = self._coeffs, other._coeffs
         if len(a) != len(b):
             raise ValueError(f"series order mismatch: {len(a) - 1} vs {len(b) - 1}")
-        return EgfSeries([
-            sum_products((math.comb(n, k), a[k], b[n - k]) for k in range(n + 1))
-            for n in range(len(a))
-        ])
+        return EgfSeries([binom_sum(n, lambda k: (a[k], b[n - k])) for n in range(len(a))])
 
     def invert(self) -> "EgfSeries":
         """Multiplicative inverse; requires the constant coefficient to be 1.
@@ -64,6 +67,11 @@ class EgfSeries:
         for n in range(1, len(a)):
             inv.append(sum_products((-math.comb(n, k), a[k], inv[n - k]) for k in range(1, n + 1)))
         return EgfSeries(inv)
+
+    def split_real_imag(self) -> Tuple["EgfSeries", "EgfSeries"]:
+        """Return (re, im) with self = re + i*im, both real-coefficient."""
+        re, im = zip(*(c.split_real_imag() for c in self._coeffs))
+        return EgfSeries(re), EgfSeries(im)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EgfSeries):

@@ -5,6 +5,8 @@ generating-function product (``family``).  The six cosine/sine families,
 the ones the paper gives closed forms for, are also built independently by
 those closed-form double sums (``family_closed``).  The identity engine
 compares the two routes; they must agree as exact polynomials.
+The cosine and sine are the real and imaginary parts of e_l^{iy}(t) in
+the generating-function route, and of e^{iyt} in the oracle.
 
 The classical (l = 0) counterparts are built from scratch by the same
 kernel-inversion machinery with plain exponentials, and serve as the
@@ -16,14 +18,13 @@ independent oracle for all limit checks.  ``family`` and
 from __future__ import annotations
 
 import enum
-import math
 import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Sequence, Tuple
 
 from .combinat import StirlingKind, gen_falling_factorial, stirling_table
-from .egfseries import EgfSeries
+from .egfseries import EgfSeries, binom_sum
 from .multipoly import MPoly, PolyInput, sum_products
 
 
@@ -87,14 +88,8 @@ def deg_exp_series(exponent: PolyInput, order: int) -> EgfSeries:
 
 @lru_cache(maxsize=None, typed=True)
 def deg_cos_sin_series(order: int) -> Tuple[EgfSeries, EgfSeries]:
-    """Degenerate cosine and sine series, via (E(iy) +/- E(-iy)) / 2, /2i."""
-    iy = MPoly.variable("y") * MPoly.I
-    pairs = list(zip(deg_exp_series(iy, order).coeffs, deg_exp_series(-iy, order).coeffs))
-    half = Fraction(1, 2)
-    cos = EgfSeries([(plus + minus).scale(half) for plus, minus in pairs])
-    # 1/(2i) = -i/2, so the sine is i/2 times (E(-iy) - E(iy)).
-    sin = EgfSeries([((minus - plus) * MPoly.I).scale(half) for plus, minus in pairs])
-    return cos, sin
+    """Degenerate cosine and sine series: the real and imaginary parts of e_l^{iy}(t)."""
+    return deg_exp_series(MPoly.variable("y") * MPoly.I, order).split_real_imag()
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -168,7 +163,7 @@ def trig_stirling_sum(trig: str, n: int, inner: Sequence[MPoly]) -> MPoly:
     into the rows T_m of ``trig_stirling_rows`` and the sum taken as
     sum_m binom(n, m) T_m inner[n-m]; the rows go to the order of ``inner``."""
     rows = trig_stirling_rows(trig, len(inner) - 1)
-    return sum_products((math.comb(n, m), rows[m], inner[n - m]) for m in range(n + 1))
+    return binom_sum(n, lambda m: (rows[m], inner[n - m]))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -228,17 +223,8 @@ def classical_exp_series(exponent: PolyInput, order: int) -> EgfSeries:
 
 
 def classical_cos_sin_series(order: int) -> Tuple[EgfSeries, EgfSeries]:
-    """cos(yt) and sin(yt): coefficients (-1)^k y^{2k} resp. (-1)^k y^{2k+1}."""
-    yv = MPoly.variable("y")
-    cos = EgfSeries.from_function(
-        order,
-        lambda n: (yv ** n).scale((-1) ** (n // 2)) if n % 2 == 0 else MPoly.zero(),
-    )
-    sin = EgfSeries.from_function(
-        order,
-        lambda n: (yv ** n).scale((-1) ** (n // 2)) if n % 2 == 1 else MPoly.zero(),
-    )
-    return cos, sin
+    """cos(yt) and sin(yt): the real and imaginary parts of e^{iyt}."""
+    return classical_exp_series(MPoly.variable("y") * MPoly.I, order).split_real_imag()
 
 
 @lru_cache(maxsize=None, typed=True)

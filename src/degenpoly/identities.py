@@ -32,9 +32,10 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .combinat import StirlingKind, falling_factorial, gen_falling_factorial, stirling_table
+from .egfseries import binom_sum
 from .families import (
     _KIND,
     FamilyKind,
@@ -45,11 +46,6 @@ from .families import (
     trig_stirling_sum,
 )
 from .multipoly import MPoly, sum_products
-
-
-def _binom_sum(n: int, term: Callable[[int], Tuple[MPoly, MPoly]]) -> MPoly:
-    """sum_{k=0}^n binom(n, k) a_k b_k, where term(k) is the pair (a_k, b_k)."""
-    return sum_products((math.comb(n, k), *term(k)) for k in range(n + 1))
 
 
 class IdentityReport(NamedTuple):
@@ -117,29 +113,18 @@ class IdentityEngine:
 
     # -- the checks ----------------------------------------------------
 
-    def _t1_expand(self, tag, n):
-        iy = MPoly.variable("y") * MPoly.I
-        xiy = MPoly.variable("x") + iy
-        euler, nums = family(FamilyKind.DEG_EULER, self.degree), self.x0(FamilyKind.DEG_EULER)
-        lhs = complex_series("euler", self.degree).coefficient(n)
-        rhs1 = _binom_sum(n, lambda l: (gen_falling_factorial(iy, n - l), euler[l]))
-        rhs2 = _binom_sum(n, lambda l: (gen_falling_factorial(xiy, n - l), nums[l]))
-        return self._simple(tag, n, [(lhs, rhs1), (lhs, rhs2)])
-
-    def _t1_conj(self, tag, n):
+    def _t1(self, tag, n, sign):
+        # E_n(x + sign*iy), the image of E_n(x + iy) under y -> sign*y, over E_l(x) and
+        # over the numbers; at x - iy the factorials ascend: (-u)_{k,l} = (-1)^k <u>_{k,l}.
         yv = MPoly.variable("y")
         iy = yv * MPoly.I
-        iy_minus_x = iy - MPoly.variable("x")
         euler, nums = family(FamilyKind.DEG_EULER, self.degree), self.x0(FamilyKind.DEG_EULER)
-        # The Euler polynomial at x - iy is the image of the one at x + iy
-        # under the ring map y -> -y.
-        lhs = complex_series("euler", self.degree).coefficient(n).substitute("y", -yv)
-        signed = [math.comb(n, l) * (-1) ** (n - l) for l in range(n + 1)]
-        rhs1 = sum_products((b, gen_falling_factorial(iy, n - l, step=+1), euler[l])
-                            for l, b in enumerate(signed))
-        rhs2 = sum_products((b, gen_falling_factorial(iy_minus_x, n - l, step=+1), nums[l])
-                            for l, b in enumerate(signed))
-        return self._simple(tag, n, [(lhs, rhs1), (lhs, rhs2)])
+        lhs = complex_series("euler", self.degree).coefficient(n).substitute("y", yv.scale(sign))
+        signed = [math.comb(n, l) * sign ** (n - l) for l in range(n + 1)]
+        return self._simple(tag, n, [
+            (lhs, sum_products((b, gen_falling_factorial(u, n - l, step=-sign), polys[l])
+                               for l, b in enumerate(signed)))
+            for u, polys in ((iy, euler), (MPoly.variable("x").scale(sign) + iy, nums))])
 
     def _route_pair(self, tag, n, trig):
         kind, degree = _KIND[None, trig], self.degree
@@ -151,14 +136,14 @@ class IdentityEngine:
         kind = _KIND[kernel, trig]
         lhs = family(kind, self.degree)[n]
         nums, trig_polys = self.x0(_KIND[kernel, None]), family(_KIND[None, trig], self.degree)
-        conv = _binom_sum(n, lambda k: (nums[k], trig_polys[n - k]))
+        conv = binom_sum(n, lambda k: (nums[k], trig_polys[n - k]))
         closed = family_closed(kind, self.degree)[n]
         return self._simple(tag, n, [(lhs, conv), (lhs, closed)])
 
     def _t4(self, tag, n, trig):
         euler_family = family(_KIND["euler", trig], self.degree)
         lhs = family(_KIND[None, trig], self.degree)[n]
-        acc = _binom_sum(n, lambda l: (gen_falling_factorial(1, n - l), euler_family[l]))
+        acc = binom_sum(n, lambda l: (gen_falling_factorial(1, n - l), euler_family[l]))
         rhs = (acc + euler_family[n]).scale(Fraction(1, 2))
         return self._simple(tag, n, [(lhs, rhs)])
 
@@ -166,7 +151,7 @@ class IdentityEngine:
         polys = family(_KIND[kernel, trig], self.degree)
         rv = MPoly.variable("r")
         lhs = polys[n].substitute("x", MPoly.variable("x") + rv)
-        rhs = _binom_sum(n, lambda l: (polys[l], gen_falling_factorial(rv, n - l)))
+        rhs = binom_sum(n, lambda l: (polys[l], gen_falling_factorial(rv, n - l)))
         return self._simple(tag, n, [(lhs, rhs)])
 
     def _reflect(self, tag, n, trig, kernel):
@@ -208,10 +193,10 @@ class IdentityEngine:
         S2_deg from the degenerate second-kind Stirling table.
         """
         if binom_of == "k":
-            return _binom_sum(n, lambda k: (self._u_table[k], y_polys[n - k]))
+            return binom_sum(n, lambda k: (self._u_table[k], y_polys[n - k]))
         xv = MPoly.variable("x")
         s2 = stirling_table(StirlingKind.DEGENERATE_SECOND, self.degree)
-        return _binom_sum(n, lambda l: (falling_factorial(xv, l), sum_products(
+        return binom_sum(n, lambda l: (falling_factorial(xv, l), sum_products(
             (1, s2.entry(k, l), y_polys[n - k]) for k in range(l, n + 1))))
 
     def _t7(self, tag, n, trig):
@@ -287,8 +272,8 @@ _E = IdentityEngine
 # (tag, citation, check, args) in report order; a twin row holds (cos, sin) pairs.
 _CATALOG = [
     ("T1_expand", "Theorem 1: complex-argument Euler expansion over factorial products",
-     _E._t1_expand, ()),
-    ("T1_conj", "Theorem 1: conjugate expansion via ascending factorials", _E._t1_conj, ()),
+     _E._t1, (1,)),
+    ("T1_conj", "Theorem 1: conjugate expansion via ascending factorials", _E._t1, (-1,)),
     (("T2_cos", "T2_sin"),
      ("Theorem 2: cosine-polynomial closed form", "Theorem 2: sine-polynomial closed form"),
      _E._route_pair, ()),

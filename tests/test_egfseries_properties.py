@@ -69,3 +69,12 @@ def test_scale_distributes_over_mul_and_add(abc, q):
     summed = [x + z for x, z in zip(a, c)]
     assert list((series(summed) * series(b)).coeffs) == [
         x + z for x, z in zip(product, naive_mul(c, b))]
+
+
+@series_settings
+@given(orders.flatmap(lambda order: lists(order, 1)))
+def test_split_real_imag_gives_back_the_series(a):
+    # re + i*im is the series again, and neither part has a term in i.
+    re, im = series(a[0]).split_real_imag()
+    assert series([x + z * MPoly.I for x, z in zip(re.coeffs, im.coeffs)]) == series(a[0])
+    assert all(ei == 0 for part in (re, im) for c in part.coeffs for *_, ei in c.terms)

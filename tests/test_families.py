@@ -6,6 +6,7 @@ from degenpoly.combinat import StirlingKind, gen_falling_factorial, stirling_tab
 from degenpoly.families import (
     FamilyKind,
     classical_family,
+    classical_cos_sin_series,
     classical_kernel_series,
     complex_euler,
     complex_series,
@@ -61,6 +62,21 @@ def test_deg_cos_sin_series_are_real():
     for c in list(cos.coeffs) + list(sin.coeffs):
         _, im = c.split_real_imag()
         assert im.is_zero()
+
+
+def test_cos_sin_series_match_the_paper_definitions():
+    # The paper defines cos_l = (E(iy) + E(-iy)) / 2 and sin_l = (E(iy) - E(-iy)) / 2i;
+    # the package reads them as the two parts of E(iy) alone.
+    plus, minus = deg_exp_series(Y * I, 20).coeffs, deg_exp_series(-(Y * I), 20).coeffs
+    cos, sin = deg_cos_sin_series(20)
+    assert list(cos.coeffs) == [(p + m).scale(Fraction(1, 2)) for p, m in zip(plus, minus)]
+    assert list(sin.coeffs) == [((m - p) * I).scale(Fraction(1, 2)) for p, m in zip(plus, minus)]
+    # The classical ones are the parity-filtered (-1)^k y^(2k) and (-1)^k y^(2k+1).
+    cos, sin = classical_cos_sin_series(20)
+    for n in range(21):
+        y_n = (Y ** n).scale((-1) ** (n // 2))
+        assert (cos.coefficient(n), sin.coefficient(n)) == (
+            (y_n, MPoly.zero()) if n % 2 == 0 else (MPoly.zero(), y_n)), n
 
 
 def test_deg_cos_sin_closed_matches_series():

@@ -51,6 +51,29 @@ def test_single_check_builds_only_its_family(monkeypatch):
     assert not fresh._x0
 
 
+def test_theorem_1_checks_both_of_its_displays(monkeypatch):
+    # T1_conj expands over the paper's ascending factorials on iy and iy - x.
+    # Read as the y -> -y image of T1_expand, it would ask for T1_expand's
+    # descending factorials and prove nothing T1_expand does not.
+    import degenpoly.identities as identities
+    from degenpoly.combinat import gen_falling_factorial
+
+    asked = []
+
+    def recording(u, n, step=-1):
+        asked.append((u, step))
+        return gen_falling_factorial(u, n, step)
+
+    monkeypatch.setattr(identities, "gen_falling_factorial", recording)
+    fresh = IdentityEngine(4)
+    iy, x = MPoly.variable("y") * MPoly.I, MPoly.variable("x")
+    for tag, step, args in ((IdentityId.T1_EXPAND, -1, (iy, x + iy)),
+                            (IdentityId.T1_CONJ, 1, (iy, iy - x))):
+        asked.clear()
+        assert all(rep.verdict == "holds" for rep in fresh.verify(tag))
+        assert set(asked) == {(u, step) for u in args}, tag
+
+
 def test_t9_degree_zero_by_hand(engine):
     # C_0 = 1 must equal the first forward difference of the degree-1
     # cosine-Bernoulli polynomial; worked by hand: beta1^c = x + (l-1)/2 - ...

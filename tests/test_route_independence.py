@@ -17,9 +17,10 @@ from degenpoly.families import FamilyKind, classical_family, family, family_clos
 from degenpoly.identities import IdentityEngine
 
 # The code every route may run: the ring (MPoly, sum_products), the series
-# arithmetic (EgfSeries, with __mul__ and invert), _product, the assembly of
-# the factors a family's defining product names, and FamilySequence, the
-# container each route returns (its methods are the only ones in families).
+# arithmetic (EgfSeries, with __mul__, invert and split_real_imag, and the
+# binomial convolution binom_sum), _product, the assembly of the factors a
+# family's defining product names, and FamilySequence, the container each
+# route returns (its methods are the only ones in families).
 SHARED_MODULES = {"degenpoly.multipoly", "degenpoly.egfseries"}
 SHARED = {("degenpoly.families", name) for name in ("_product", "__init__", "__getitem__")}
 
