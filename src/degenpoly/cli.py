@@ -217,10 +217,10 @@ def _cmd_series(args) -> int:
         print(_json_dumps({
             "kernel": name,
             "order": args.order,
-            "coefficients": [c.to_text() for c in series.coeffs],
+            "coefficients": [c.to_text() for c in series.polys],
         }))
     else:
-        for n, c in enumerate(series.coeffs):
+        for n, c in enumerate(series.polys):
             print(f"{n}\t{c.to_text()}")
     return 0
 

@@ -124,7 +124,7 @@ class StirlingTable:
                 power = power * base
             inv_kfact = Fraction(1, math.factorial(k))
             for n in range(k, n_max + 1):
-                rows[n][k] = power.coefficient(n).scale(inv_kfact)
+                rows[n][k] = power[n].scale(inv_kfact)
         return tuple(tuple(row) for row in rows)
 
 

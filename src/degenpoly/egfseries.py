@@ -1,10 +1,11 @@
 """Truncated formal power series in the exponential basis.
 
-A series of order N stores polynomials a_0..a_N representing
-sum a_n t^n / n!.  Multiplication is therefore the binomial convolution
-c_n = sum_k binom(n,k) a_k b_{n-k}, and arithmetic is a congruence mod
-t^{N+1}: coefficients beyond the order are never consulted.  ``binom_sum``
-is that convolution, written once for the series, the closed forms and the checks.
+A series of order N stores polynomials a_0..a_N representing sum a_n t^n / n!;
+each family in ``families`` is the series of its generating function.
+Multiplication is therefore the binomial convolution c_n = sum_k binom(n,k)
+a_k b_{n-k}, and arithmetic is a congruence mod t^{N+1}: coefficients beyond
+the order are never consulted.  ``binom_sum`` is that convolution, written
+once for the series, the closed forms and the checks.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ def binom_sum(n: int, term: Callable[[int], Tuple[MPoly, MPoly]]) -> MPoly:
 
 
 class EgfSeries:
-    """Immutable truncated series with MPoly coefficients in the t^n/n! basis."""
+    """Immutable truncated series: the tuple ``polys`` of MPoly a_0..a_N in the t^n/n! basis."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("polys",)
 
-    def __init__(self, coeffs: Sequence[PolyInput]):
-        # The order is len(coeffs) - 1; order 0 still holds the constant term.
-        self._coeffs = tuple(MPoly.coerce(c) for c in coeffs)
-        if not self._coeffs:
+    def __init__(self, polys: Sequence[PolyInput]):
+        # The order is len(polys) - 1; order 0 still holds the constant term.
+        self.polys = tuple(MPoly.coerce(c) for c in polys)
+        if not self.polys:
             raise ValueError("a series needs at least its constant coefficient")
 
     @classmethod
@@ -40,18 +41,14 @@ class EgfSeries:
         """The multiplicative identity (1, 0, 0, ...)."""
         return cls.from_function(order, lambda n: MPoly.one() if n == 0 else MPoly.zero())
 
-    @property
-    def coeffs(self) -> Sequence[MPoly]:
-        return self._coeffs
-
-    def coefficient(self, n: int) -> MPoly:
-        """a_n, i.e. n! times the t^n coefficient."""
-        if not 0 <= n < len(self._coeffs):
-            raise IndexError(f"coefficient index {n} out of range 0..{len(self._coeffs) - 1}")
-        return self._coeffs[n]
+    def __getitem__(self, n: int) -> MPoly:
+        """a_n, i.e. n! times the t^n coefficient; a negative n raises, never wraps."""
+        if not 0 <= n < len(self.polys):
+            raise IndexError(f"coefficient index {n} out of range 0..{len(self.polys) - 1}")
+        return self.polys[n]
 
     def __mul__(self, other: "EgfSeries") -> "EgfSeries":
-        a, b = self._coeffs, other._coeffs
+        a, b = self.polys, other.polys
         if len(a) != len(b):
             raise ValueError(f"series order mismatch: {len(a) - 1} vs {len(b) - 1}")
         return EgfSeries([binom_sum(n, lambda k: (a[k], b[n - k])) for n in range(len(a))])
@@ -61,24 +58,24 @@ class EgfSeries:
 
         Triangular recurrence: g_0 = 1, g_n = -sum_{k=1}^n binom(n,k) a_k g_{n-k}.
         """
-        if self._coeffs[0] != MPoly.one():
+        if self.polys[0] != MPoly.one():
             raise ValueError("series inversion requires constant coefficient 1")
-        a, inv = self._coeffs, [MPoly.one()]
+        a, inv = self.polys, [MPoly.one()]
         for n in range(1, len(a)):
             inv.append(sum_products((-math.comb(n, k), a[k], inv[n - k]) for k in range(1, n + 1)))
         return EgfSeries(inv)
 
     def split_real_imag(self) -> Tuple["EgfSeries", "EgfSeries"]:
         """Return (re, im) with self = re + i*im, both real-coefficient."""
-        re, im = zip(*(c.split_real_imag() for c in self._coeffs))
+        re, im = zip(*(c.split_real_imag() for c in self.polys))
         return EgfSeries(re), EgfSeries(im)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EgfSeries):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self.polys == other.polys
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self._coeffs[:4])
-        tail = ", ..." if len(self._coeffs) > 4 else ""
-        return f"EgfSeries(order={len(self._coeffs) - 1}, [{shown}{tail}])"
+        shown = ", ".join(str(c) for c in self.polys[:4])
+        tail = ", ..." if len(self.polys) > 4 else ""
+        return f"EgfSeries(order={len(self.polys) - 1}, [{shown}{tail}])"

@@ -1,7 +1,7 @@
 """The ten degenerate polynomial families and their generating functions.
 
-Every family is built by extracting coefficients of its defining
-generating-function product (``family``).  The six cosine/sine families,
+A family is the ``EgfSeries`` of its defining generating-function product
+(``family``): P_n is its coefficient ``[n]``.  The six cosine/sine families,
 the ones the paper gives closed forms for, are also built independently by
 those closed-form double sums (``family_closed``).  The identity engine
 compares the two routes; they must agree as exact polynomials.
@@ -61,18 +61,6 @@ _STRUCTURE = {
 _KIND = {(kernel, trig): kind for kind, (kernel, uses_x, trig) in _STRUCTURE.items() if uses_x}
 
 
-class FamilySequence:
-    """Polynomials polys[0..order] of one family."""
-
-    __slots__ = ("polys",)
-
-    def __init__(self, polys: Tuple[MPoly, ...]):
-        self.polys = polys
-
-    def __getitem__(self, n: int) -> MPoly:
-        return self.polys[n]
-
-
 def deg_exp_series(exponent: PolyInput, order: int) -> EgfSeries:
     """Series of the degenerate exponential with the given exponent.
 
@@ -118,15 +106,15 @@ def kernel_series(which: str, order: int) -> EgfSeries:
     raise ValueError(f"unknown kernel {which!r}; expected 'bernoulli' or 'euler'")
 
 
-def _product(kind: FamilyKind, order: int, kernel, exp, cos_sin, route) -> FamilySequence:
-    """Coefficients of the product that ``_STRUCTURE`` names for ``kind``, built
+def _product(kind: FamilyKind, order: int, kernel, exp, cos_sin, route) -> EgfSeries:
+    """The series product that ``_STRUCTURE`` names for ``kind``, built
     from the given constructors: kernel, then exp(x), then cos/sin.  For a
     kind with a kernel and a trig factor, kernel times exp(x) is the plain
     kernel family, which ``route`` (the caller's own cached builder) returns."""
     kernel_name, uses_x, trig = _STRUCTURE[kind]
     factors = []
     if kernel_name is not None and trig is not None:
-        factors.append(EgfSeries(route(_KIND[kernel_name, None], order).polys))
+        factors.append(route(_KIND[kernel_name, None], order))
     else:
         if kernel_name is not None:
             factors.append(kernel(kernel_name, order))
@@ -134,12 +122,12 @@ def _product(kind: FamilyKind, order: int, kernel, exp, cos_sin, route) -> Famil
             factors.append(exp(MPoly.variable("x"), order))
     if trig is not None:
         factors.append(cos_sin(order)[trig == "sin"])
-    return FamilySequence(tuple(reduce(operator.mul, factors).coeffs))
+    return reduce(operator.mul, factors)
 
 
 @lru_cache(maxsize=None, typed=True)
-def family(kind: FamilyKind, order: int) -> FamilySequence:
-    """Generating-function route: coefficients of the defining product."""
+def family(kind: FamilyKind, order: int) -> EgfSeries:
+    """Generating-function route: the defining product, whose coefficient n is P_n."""
     return _product(kind, order, kernel_series, deg_exp_series, deg_cos_sin_series, family)
 
 
@@ -167,7 +155,7 @@ def trig_stirling_sum(trig: str, n: int, inner: Sequence[MPoly]) -> MPoly:
 
 
 @lru_cache(maxsize=None, typed=True)
-def family_closed(kind: FamilyKind, order: int) -> FamilySequence:
+def family_closed(kind: FamilyKind, order: int) -> EgfSeries:
     """Closed-form route for the six cos/sin families: the theorem double
     sums, term by term."""
     kernel, _, trig = _STRUCTURE[kind]
@@ -177,7 +165,7 @@ def family_closed(kind: FamilyKind, order: int) -> FamilySequence:
         inner = [gen_falling_factorial(MPoly.variable("x"), n) for n in range(order + 1)]
     else:
         inner = family(_KIND[kernel, None], order).polys
-    return FamilySequence(tuple(trig_stirling_sum(trig, n, inner) for n in range(order + 1)))
+    return EgfSeries([trig_stirling_sum(trig, n, inner) for n in range(order + 1)])
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -189,7 +177,7 @@ def complex_series(kernel: str, order: int) -> EgfSeries:
 
 def complex_euler(n: int, order: int) -> MPoly:
     """The degenerate Euler polynomial at complex argument x + iy."""
-    return complex_series("euler", order).coefficient(n)
+    return complex_series("euler", order)[n]
 
 
 # -- classical (l = 0) oracle -----------------------------------------------
@@ -228,7 +216,7 @@ def classical_cos_sin_series(order: int) -> Tuple[EgfSeries, EgfSeries]:
 
 
 @lru_cache(maxsize=None, typed=True)
-def classical_family(kind: FamilyKind, order: int) -> FamilySequence:
+def classical_family(kind: FamilyKind, order: int) -> EgfSeries:
     """The l = 0 counterpart of a family, built with plain exponentials."""
     return _product(kind, order, classical_kernel_series, classical_exp_series,
                     classical_cos_sin_series, classical_family)

@@ -119,7 +119,7 @@ class IdentityEngine:
         yv = MPoly.variable("y")
         iy = yv * MPoly.I
         euler, nums = family(FamilyKind.DEG_EULER, self.degree), self.x0(FamilyKind.DEG_EULER)
-        lhs = complex_series("euler", self.degree).coefficient(n).substitute("y", yv.scale(sign))
+        lhs = complex_series("euler", self.degree)[n].substitute("y", yv.scale(sign))
         signed = [math.comb(n, l) * sign ** (n - l) for l in range(n + 1)]
         return self._simple(tag, n, [
             (lhs, sum_products((b, gen_falling_factorial(u, n - l, step=-sign), polys[l])
@@ -231,8 +231,8 @@ class IdentityEngine:
         ])
 
     def _decomposition(self, tag, n):
-        e_re, e_im = complex_series("euler", self.degree).coefficient(n).split_real_imag()
-        b_re, b_im = complex_series("bernoulli", self.degree).coefficient(n).split_real_imag()
+        e_re, e_im = complex_series("euler", self.degree)[n].split_real_imag()
+        b_re, b_im = complex_series("bernoulli", self.degree)[n].split_real_imag()
         return self._simple(tag, n, [
             (e_re, family(FamilyKind.DEG_COS_EULER, self.degree)[n]),
             (e_im, family(FamilyKind.DEG_SIN_EULER, self.degree)[n]),

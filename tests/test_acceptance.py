@@ -82,13 +82,13 @@ def test_criterion_2_classical_limits():
     e_poly_oracle = e_oracle * classical_exp_series(x, n)
     ok = True
     for k in range(n + 1):
-        ok = ok and bern[k].substitute("x", 0).substitute("l", 0) == b_oracle.coefficient(k)
-        ok = ok and euler[k].substitute("x", 0).substitute("l", 0) == e_oracle.coefficient(k)
-        ok = ok and bern[k].substitute("l", 0) == b_poly_oracle.coefficient(k)
-        ok = ok and euler[k].substitute("l", 0) == e_poly_oracle.coefficient(k)
-    ok = ok and b_oracle.coefficient(2) == MPoly.constant(Fraction(1, 6))
-    ok = ok and b_oracle.coefficient(12) == MPoly.constant(Fraction(-691, 2730))
-    ok = ok and e_oracle.coefficient(2).is_zero()
+        ok = ok and bern[k].substitute("x", 0).substitute("l", 0) == b_oracle[k]
+        ok = ok and euler[k].substitute("x", 0).substitute("l", 0) == e_oracle[k]
+        ok = ok and bern[k].substitute("l", 0) == b_poly_oracle[k]
+        ok = ok and euler[k].substitute("l", 0) == e_poly_oracle[k]
+    ok = ok and b_oracle[2] == MPoly.constant(Fraction(1, 6))
+    ok = ok and b_oracle[12] == MPoly.constant(Fraction(-691, 2730))
+    ok = ok and e_oracle[2].is_zero()
     _report(2, "classical limits at l = 0 for n <= 20", ok)
 
 
@@ -119,8 +119,8 @@ def test_criterion_4_decomposition():
     sin_b = family(FamilyKind.DEG_SIN_BERNOULLI, N_MAX)
     ok = True
     for n in range(N_MAX + 1):
-        e_re, e_im = ce.coefficient(n).split_real_imag()
-        b_re, b_im = cb.coefficient(n).split_real_imag()
+        e_re, e_im = ce[n].split_real_imag()
+        b_re, b_im = cb[n].split_real_imag()
         ok = ok and e_re == cos_e[n] and e_im == sin_e[n]
         ok = ok and b_re == cos_b[n] and b_im == sin_b[n]
     _report(4, f"real/imaginary decomposition for n <= {N_MAX}", ok)

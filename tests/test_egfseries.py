@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from degenpoly.egfseries import EgfSeries
+from degenpoly.families import FamilyKind, classical_family, family, family_closed
 from degenpoly.multipoly import MPoly
 
 
@@ -17,7 +18,7 @@ def test_exp_times_exp_is_exp_of_two_t():
     for n in range(11):
         expected = sum(math.comb(n, k) for k in range(n + 1))
         assert expected == 2 ** n
-        assert product.coefficient(n) == MPoly.constant(expected)
+        assert product[n] == MPoly.constant(expected)
 
 
 def test_mul_by_unit_is_identity():
@@ -29,7 +30,7 @@ def test_invert_exp_gives_alternating_signs():
     # e^t * e^{-t} = 1.
     g = ones(8).invert()
     for n in range(9):
-        assert g.coefficient(n) == MPoly.constant((-1) ** n)
+        assert g[n] == MPoly.constant((-1) ** n)
 
 
 def test_invert_unit_is_unit():
@@ -47,11 +48,11 @@ def test_invert_euler_kernel_denominator():
     )
     inv = g.invert()
     lam = MPoly.variable("l")
-    assert inv.coefficient(0) == MPoly.one()
-    assert inv.coefficient(1) == MPoly.constant(Fraction(-1, 2))
-    assert inv.coefficient(2) == lam.scale(Fraction(1, 2))
+    assert inv[0] == MPoly.one()
+    assert inv[1] == MPoly.constant(Fraction(-1, 2))
+    assert inv[2] == lam.scale(Fraction(1, 2))
     # l = 0 values match the classical sequence 1, -1/2, 0.
-    assert inv.coefficient(2).substitute("l", 0).is_zero()
+    assert inv[2].substitute("l", 0).is_zero()
 
 
 def test_invert_requires_unit_constant_term():
@@ -75,11 +76,16 @@ def test_order_mismatch_is_error():
 
 
 def test_coefficient_out_of_range():
-    f = ones(3)
-    with pytest.raises(IndexError):
-        f.coefficient(4)
-    with pytest.raises(IndexError):
-        f.coefficient(-1)
+    # A family is a series too: at order 4 it holds rows 0..4, and a negative
+    # index raises instead of wrapping to the last row as a tuple would.
+    cos_euler = FamilyKind.DEG_COS_EULER
+    for f, order in ((ones(3), 3), (family(FamilyKind.DEG_EULER, 4), 4),
+                     (family_closed(cos_euler, 4), 4), (classical_family(cos_euler, 4), 4)):
+        assert [f[n] for n in range(order + 1)] == list(f.polys)
+        with pytest.raises(IndexError):
+            f[order + 1]
+        with pytest.raises(IndexError):
+            f[-1]
 
 
 def test_mul_commutative_and_associative():
@@ -98,7 +104,7 @@ def test_truncation_congruence():
     g = EgfSeries.from_function(8, lambda n: MPoly.variable("y").scale(n + 1))
 
     def short(s):
-        return EgfSeries(s.coeffs[:5])
+        return EgfSeries(s.polys[:5])
 
     assert short(f * g) == short(f) * short(g)
 

@@ -187,7 +187,7 @@ _MUTATION_MAP = {
 @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda kind: kind.value)
 def test_each_check_reads_its_own_family(monkeypatch, kind):
     import degenpoly.identities as identities
-    from degenpoly.families import FamilySequence
+    from degenpoly.egfseries import EgfSeries
 
     r = MPoly.variable("r")
 
@@ -195,7 +195,7 @@ def test_each_check_reads_its_own_family(monkeypatch, kind):
         seq = family(asked, order)
         if asked is not kind:
             return seq
-        return FamilySequence(tuple(p + r for p in seq.polys))
+        return EgfSeries([p + r for p in seq.polys])
 
     monkeypatch.setattr(identities, "family", perturbed)
     reports, _ = IdentityEngine(4).verify_all()

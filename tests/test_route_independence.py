@@ -17,12 +17,11 @@ from degenpoly.families import FamilyKind, classical_family, family, family_clos
 from degenpoly.identities import IdentityEngine
 
 # The code every route may run: the ring (MPoly, sum_products), the series
-# arithmetic (EgfSeries, with __mul__, invert and split_real_imag, and the
-# binomial convolution binom_sum), _product, the assembly of the factors a
-# family's defining product names, and FamilySequence, the container each
-# route returns (its methods are the only ones in families).
+# arithmetic (EgfSeries, the container each route returns, with __mul__,
+# invert and split_real_imag, and the binomial convolution binom_sum), and
+# _product, the assembly of the factors a family's defining product names.
 SHARED_MODULES = {"degenpoly.multipoly", "degenpoly.egfseries"}
-SHARED = {("degenpoly.families", name) for name in ("_product", "__init__", "__getitem__")}
+SHARED = {("degenpoly.families", "_product")}
 
 # The generating-function constructors.
 GF_CONSTRUCTORS = {"family", "kernel_series", "deg_exp_series", "deg_cos_sin_series"}

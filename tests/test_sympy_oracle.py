@@ -98,7 +98,7 @@ def test_degenerate_kernels_at_symbolic_l(which, kernel):
     for n in range(order + 1):
         expected = sympy.Poly(sympy.simplify(series.coeff(T, n) * sympy.factorial(n)), L)
         actual = {}
-        for (el, ex, ey, er, ei), c in coeffs.coefficient(n).terms.items():
+        for (el, ex, ey, er, ei), c in coeffs[n].terms.items():
             assert ex == ey == er == ei == 0
             actual[el] = c
         assert actual == {el: rat(c) for (el,), c in expected.terms() if c}, n
