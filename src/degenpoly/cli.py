@@ -176,9 +176,12 @@ def _cmd_verify(args) -> int:
         for name in args.identity.split(","):
             name = name.strip()
             try:
-                tags.append(IdentityId(name))
+                tag = IdentityId(name)
             except ValueError:
                 raise SystemExit(f"error: unknown identity tag {name!r}") from None
+            if tag in tags:
+                raise SystemExit(f"error: repeated identity tag {name!r}")
+            tags.append(tag)
     reports = []
     for tag in tags:
         reports.extend(engine.verify(tag))

@@ -74,13 +74,10 @@ class StirlingTable:
     def __init__(self, rows: Tuple[Tuple[MPoly, ...], ...]):
         self._rows = rows
 
-    @property
-    def n_max(self) -> int:
-        return len(self._rows) - 1
-
     def entry(self, n: int, k: int) -> MPoly:
-        if not 0 <= n <= self.n_max:
-            raise IndexError(f"row {n} out of range 0..{self.n_max}")
+        top = len(self._rows) - 1
+        if not 0 <= n <= top:
+            raise IndexError(f"row {n} out of range 0..{top}")
         if not 0 <= k <= n:
             raise IndexError(f"column {k} out of range 0..{n} in row {n}")
         return self._rows[n][k]

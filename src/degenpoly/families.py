@@ -5,8 +5,9 @@ A family is the ``EgfSeries`` of its defining generating-function product
 the ones the paper gives closed forms for, are also built independently by
 those closed-form double sums (``family_closed``).  The identity engine
 compares the two routes; they must agree as exact polynomials.
-The cosine and sine are the real and imaginary parts of e_l^{iy}(t) in
-the generating-function route, and of e^{iyt} in the oracle.
+Each factor of ``family`` is read off e_l(t): the kernels invert series of its
+coefficients, and the cosine and sine are the real and imaginary parts of
+e_l^{iy}(t) (of e^{iyt} in the oracle), so ``family`` runs no ``combinat`` code.
 
 The classical (l = 0) counterparts are built from scratch by the same
 kernel-inversion machinery with plain exponentials, and serve as the
@@ -82,28 +83,22 @@ def deg_cos_sin_series(order: int) -> Tuple[EgfSeries, EgfSeries]:
 
 @lru_cache(maxsize=None, typed=True)
 def kernel_series(which: str, order: int) -> EgfSeries:
-    """The Bernoulli or Euler kernel as a series; coefficient n is the
-    degenerate Bernoulli/Euler number.
+    """The Bernoulli or Euler kernel, t/(e_l(t)-1) or 2/(e_l(t)+1), as a
+    series; coefficient n is the degenerate Bernoulli/Euler number.
 
-    bernoulli: invert h with h_n = (1)_{n+1,l} / (n+1), which is the
-    e_l(t)-1 series shifted down by one power of t so that h_0 = 1.
-    euler: invert g with g_0 = 1 and g_n = (1)_{n,l} / 2 for n >= 1.
+    Both invert a series read off e = e_l(t), whose coefficient n is (1)_{n,l}.
+    bernoulli: h_n = e[n+1] / (n+1), the series (e_l(t)-1)/t, so that h_0 = 1.
+    euler: g_0 = 1 and g_n = e[n] / 2 for n >= 1, the series (e_l(t)+1)/2.
     """
+    e = deg_exp_series(1, order + 1).polys
     if which == "bernoulli":
+        h = EgfSeries.from_function(order, lambda n: e[n + 1].scale(Fraction(1, n + 1)))
+    elif which == "euler":
         h = EgfSeries.from_function(
-            order,
-            lambda n: gen_falling_factorial(1, n + 1).scale(Fraction(1, n + 1)),
-        )
-        return h.invert()
-    if which == "euler":
-        g = EgfSeries.from_function(
-            order,
-            lambda n: MPoly.one()
-            if n == 0
-            else gen_falling_factorial(1, n).scale(Fraction(1, 2)),
-        )
-        return g.invert()
-    raise ValueError(f"unknown kernel {which!r}; expected 'bernoulli' or 'euler'")
+            order, lambda n: MPoly.one() if n == 0 else e[n].scale(Fraction(1, 2)))
+    else:
+        raise ValueError(f"unknown kernel {which!r}; expected 'bernoulli' or 'euler'")
+    return h.invert()
 
 
 def _product(kind: FamilyKind, order: int, kernel, exp, cos_sin, route) -> EgfSeries:

@@ -2,10 +2,12 @@
 
 Every identity in the catalog is a named, machine-checkable exact
 polynomial equality over Q(i)[l, x, y, r].  A check builds both sides
-through independent routes and compares them; polynomials are canonical, so
-the verdict is "holds" exactly when the two sides are equal, that is when the
-residual lhs - rhs is the zero polynomial.  A failing check reports that
-residual.  There is no tolerance anywhere.
+through independent routes and compares them: the generating-function
+families, which run no ``combinat`` code, against the closed forms,
+combinat's factorials and Stirling tables, or the l = 0 oracle.  Polynomials
+are canonical, so the verdict is "holds" exactly when the residual lhs - rhs
+is the zero polynomial.  A failing check reports that residual.  There is no
+tolerance anywhere.
 
 The families are exact polynomials, so the engine takes no truncation order:
 every construction is built to degree n_max + 1, the highest degree any check
@@ -184,27 +186,21 @@ class IdentityEngine:
             for trig in ("cos", "sin")
         ])
 
-    def _stirling2_sum(self, n, y_polys, binom_of: str) -> MPoly:
-        """sum_{k=0}^n sum_{l=0}^k binom(n, k or l) (x)_l S2_deg(k,l) P_{n-k}(y).
-
-        binom(n, k): the inner sum over l is U_k (``_u_table``), so this is
-        sum_k binom(n, k) U_k P_{n-k}.  binom(n, l): the sums swap to
-        sum_l binom(n, l) (x)_l sum_{k=l..n} S2_deg(k, l) P_{n-k}.  Both read
-        S2_deg from the degenerate second-kind Stirling table.
-        """
-        if binom_of == "k":
-            return binom_sum(n, lambda k: (self._u_table[k], y_polys[n - k]))
-        xv = MPoly.variable("x")
-        s2 = stirling_table(StirlingKind.DEGENERATE_SECOND, self.degree)
-        return binom_sum(n, lambda l: (falling_factorial(xv, l), sum_products(
-            (1, s2.entry(k, l), y_polys[n - k]) for k in range(l, n + 1))))
+    def _u_sum(self, n, polys) -> MPoly:
+        """The Stirling sum sum_k binom(n, k) U_k P_{n-k}, with U_k from ``_u_table``."""
+        return binom_sum(n, lambda k: (self._u_table[k], polys[n - k]))
 
     def _t7(self, tag, n, trig):
         # Theorem 7's two displays disagree on the binomial index (n over l
-        # vs n over k); check both and name the survivor.
+        # vs n over k); check both and name the survivor.  With binom(n, l) the
+        # sums swap to sum_l binom(n, l) (x)_l sum_{k=l..n} S2_deg(k, l) P_{n-k}.
         kind = _KIND["euler", trig]
-        lhs = family(kind, self.degree)[n]
-        rhs = {b: self._stirling2_sum(n, self.x0(kind), b) for b in ("k", "l")}
+        lhs, nums = family(kind, self.degree)[n], self.x0(kind)
+        xv = MPoly.variable("x")
+        s2 = stirling_table(StirlingKind.DEGENERATE_SECOND, self.degree)
+        swapped = binom_sum(n, lambda l: (falling_factorial(xv, l), sum_products(
+            (1, s2.entry(k, l), nums[n - k]) for k in range(l, n + 1))))
+        rhs = {"k": self._u_sum(n, nums), "l": swapped}
         failing = [b for b, side in rhs.items() if side != lhs]
         if not failing:
             return IdentityReport(tag, n, "holds")
@@ -220,7 +216,7 @@ class IdentityEngine:
 
     def _e63(self, tag, n, trig):
         kind = _KIND["bernoulli", trig]
-        rhs = self._stirling2_sum(n, self.x0(kind), "k")
+        rhs = self._u_sum(n, self.x0(kind))
         return self._simple(tag, n, [(family(kind, self.degree)[n], rhs)])
 
     def _l0(self, tag, n):
@@ -247,12 +243,6 @@ class IdentityEngine:
             raise ValueError(f"unknown identity tag {tag!r}")
         check, args = _DISPATCH[tag]
         return [check(self, tag, n, *args) for n in range(self.n_max + 1)]
-
-    def verify_all(self) -> Tuple[List[IdentityReport], Dict[str, object]]:
-        reports: List[IdentityReport] = []
-        for tag in IdentityId:
-            reports.extend(self.verify(tag))
-        return reports, summarize(reports)
 
 
 def summarize(reports: Sequence[IdentityReport]) -> Dict[str, object]:

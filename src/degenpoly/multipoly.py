@@ -186,9 +186,6 @@ class MPoly:
         den = self._den
         return {_unpack(k): Fraction(c, den) for k, c in self._num.items()}
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def __bool__(self) -> bool:
         return bool(self._num)
 

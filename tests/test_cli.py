@@ -141,6 +141,15 @@ def test_verify_unknown_tag(capsys):
     assert "unknown identity tag" in err
 
 
+def test_verify_repeated_tag(capsys):
+    # Run twice, a repeated tag would print and count its reports twice.
+    code, out, err = run_cli(capsys, "verify", "--identity", "T2_cos,T2_cos", "--n-max", "1",
+                             "--format", "text")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: repeated identity tag 'T2_cos'"
+
+
 def test_verify_order_violation(capsys):
     code, _, err = run_cli(capsys, "verify", "--n-max", "5", "--order", "3")
     assert code == 2

@@ -87,7 +87,7 @@ def test_cold_factorial_of_high_degree_does_not_recurse_that_deep(factorial, zer
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(min(limit, 1000))
     try:
-        assert factorial(zero, 5000).is_zero()
+        assert factorial(zero, 5000) == MPoly.zero()
     finally:
         sys.setrecursionlimit(limit)
 

@@ -1,8 +1,11 @@
 import json
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
+from degenpoly import combinat, families
 from degenpoly.families import FamilyKind, family
 from degenpoly.identities import CITATIONS, IdentityEngine, IdentityId, summarize
 from degenpoly.multipoly import MPoly
@@ -11,6 +14,11 @@ from degenpoly.multipoly import MPoly
 @pytest.fixture(scope="module")
 def engine():
     return IdentityEngine(n_max=6)
+
+
+def _verify_all(engine):
+    reports = [rep for tag in IdentityId for rep in engine.verify(tag)]
+    return reports, summarize(reports)
 
 
 def test_every_tag_has_a_citation():
@@ -32,7 +40,7 @@ def test_unknown_tag_rejected(engine):
 def test_t2_sin_degree_zero_holds(engine):
     rep = engine.verify(IdentityId.T2_SIN)[0]
     assert rep.verdict == "holds"
-    assert rep.lhs_minus_rhs.is_zero()
+    assert rep.lhs_minus_rhs == MPoly.zero()
 
 
 def test_single_check_builds_only_its_family(monkeypatch):
@@ -107,13 +115,13 @@ def test_shift_specializations(engine):
 
 
 def test_all_tags_hold(engine):
-    reports, summary = engine.verify_all()
+    reports, summary = _verify_all(engine)
     assert summary["fails"] == 0
     assert summary["ok"] is True
     for rep in reports:
         assert rep.verdict in ("holds", "holds_variant")
         if rep.verdict == "holds":
-            assert rep.lhs_minus_rhs.is_zero()
+            assert rep.lhs_minus_rhs == MPoly.zero()
 
 
 def test_t7_variant_adjudication(engine):
@@ -142,13 +150,14 @@ def test_reports_serialize_to_json(engine):
 def test_module_level_helpers():
     reports = IdentityEngine(3).verify(IdentityId.T4_COS)
     assert [r.n for r in reports] == [0, 1, 2, 3]
-    all_reports, summary = IdentityEngine(2).verify_all()
-    assert summary == summarize(all_reports)
+    all_reports, summary = _verify_all(IdentityEngine(2))
+    assert summary["checks"] == len(all_reports) == 3 * len(IdentityId)
+    assert summary["holds"] + summary["holds_variant"] == summary["checks"]
     assert summary["fails"] == 0
 
 
 def test_degenerate_run_all_hold_at_n_zero():
-    _, summary = IdentityEngine(0).verify_all()
+    _, summary = _verify_all(IdentityEngine(0))
     assert summary["fails"] == 0
 
 
@@ -198,7 +207,7 @@ def test_each_check_reads_its_own_family(monkeypatch, kind):
         return EgfSeries([p + r for p in seq.polys])
 
     monkeypatch.setattr(identities, "family", perturbed)
-    reports, _ = IdentityEngine(4).verify_all()
+    reports, _ = _verify_all(IdentityEngine(4))
     failing = {rep.id.value for rep in reports if rep.verdict == "fails"}
     assert failing == _MUTATION_MAP[kind]
     if kind is FamilyKind.DEG_COSINE:
@@ -223,7 +232,41 @@ def test_engine_builds_nothing_past_degree_n_max_plus_one(monkeypatch):
     names = {"family", "family_closed", "classical_family", "complex_series", "stirling_table"}
     for name in names:
         monkeypatch.setattr(identities, name, recording(getattr(identities, name)))
-    _, summary = IdentityEngine(4).verify_all()
+    _, summary = _verify_all(IdentityEngine(4))
     assert summary["fails"] == 0
     assert {name for name, _ in asked} == names
     assert max(size for _, size in asked) == 5
+
+
+def _clear_package_caches():
+    for module in (combinat, families):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def test_factorial_ladder_defect_fails_the_checks_that_read_it(monkeypatch):
+    # T4 and C10 read (1)_{n,l} from combinat's factorial ladder on their
+    # right-hand sides.  The kernels are read off e_l(t), so a defect in the
+    # ladder cannot cancel out of these checks, and the checks that read only
+    # the generating-function families still hold.
+    lv = MPoly.variable("l")
+    climb = combinat._climb
+
+    def defective(u, n, step):
+        if not (u == 1 and step == -lv):
+            return climb(u, n, step)
+        # The third factor 1 - 2l gains l^2; computed afresh, never cached.
+        factors = (MPoly.one() - lv.scale(j) + (lv * lv if j == 2 else 0) for j in range(n))
+        return reduce(operator.mul, factors, MPoly.one())
+
+    _clear_package_caches()
+    monkeypatch.setattr(combinat, "_climb", defective)
+    try:
+        reports, _ = _verify_all(IdentityEngine(8))
+    finally:
+        monkeypatch.undo()
+        _clear_package_caches()
+    failing = {rep.id.value for rep in reports if rep.verdict == "fails"}
+    assert failing >= {"T4_cos", "T4_sin", "C10_cos", "C10_sin"}
+    assert not {tag for tag in failing if tag.startswith(("T6_", "T8_", "T9_"))}

@@ -18,8 +18,10 @@ def test_mul_distributes():
 
 def test_cancellation_gives_empty_map():
     p = Y * Y + (-(Y * Y))
-    assert p.is_zero()
+    assert p == MPoly.zero()
     assert p.terms == {}
+    # Only the zero polynomial is falsy.
+    assert not p and X and MPoly.I
 
 
 def test_scale_by_i():
@@ -57,7 +59,7 @@ def test_split_real_imag_examples():
 
     q = X * X + Y.scale(3)
     qre, qim = q.split_real_imag()
-    assert qre == q and qim.is_zero()
+    assert qre == q and qim == MPoly.zero()
 
 
 def test_split_of_norm_product():
@@ -65,7 +67,7 @@ def test_split_of_norm_product():
     p = (X + Y * I) * (X - Y * I)
     assert p == X * X + Y * Y
     pre, pim = p.split_real_imag()
-    assert pre == p and pim.is_zero()
+    assert pre == p and pim == MPoly.zero()
 
 
 def test_split_round_trip():
