@@ -43,11 +43,15 @@ class EgfSeries:
 
     def __getitem__(self, n: int) -> MPoly:
         """a_n, i.e. n! times the t^n coefficient; a negative n raises, never wraps."""
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise TypeError(f"a coefficient index is an int, got {type(n).__name__}")
         if not 0 <= n < len(self.polys):
             raise IndexError(f"coefficient index {n} out of range 0..{len(self.polys) - 1}")
         return self.polys[n]
 
     def __mul__(self, other: "EgfSeries") -> "EgfSeries":
+        if not isinstance(other, EgfSeries):
+            return NotImplemented
         a, b = self.polys, other.polys
         if len(a) != len(b):
             raise ValueError(f"series order mismatch: {len(a) - 1} vs {len(b) - 1}")

@@ -17,7 +17,8 @@ each result's keys before it is canonicalized, and ``evaluate`` sizes its power
 tables from the OR of the polynomial's keys.
 
 A sum of products ``sum c*a*b`` is one ``sum_products`` call: every term pair
-goes into one dict of numerators, canonicalized once; ``*`` shares its pair loop.
+goes into one dict of numerators, canonicalized once.  ``+``, ``-`` and ``*``
+are ``sum_products`` calls too (a sum pairs each operand with 1).
 
 ``i`` is a ring element, ``MPoly.I``: a complex scalar is a degree-0
 polynomial such as ``re + im * MPoly.I``.  Scalars entering the ring
@@ -97,7 +98,7 @@ def _make(nums: Dict[int, int], den: int) -> "MPoly":
 
 def _accumulate(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int], m: int) -> None:
     """Add m times the product of the numerator dicts a and b into ``out``; the
-    caller checks ``out`` for overflow (``_check_guards``) before ``_make``."""
+    caller, ``sum_products``, checks ``out`` for overflow before ``_make``."""
     outer, inner = (a, b) if len(a) <= len(b) else (b, a)
     if not outer:
         return
@@ -111,24 +112,6 @@ def _accumulate(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int], m: in
         for k2, c2 in turned if k1 >= _I else plain:
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
-
-
-def _check_guards(out: Dict[int, int]) -> None:
-    """Raise if a product accumulated into ``out`` overflowed an exponent field.
-
-    Factor exponents lie below 2**15, so field sums never carry into the next
-    field, and a product overflows exactly when its key sets a guard bit.  No
-    key leaves ``out`` before this check (zero sums included), so one OR of
-    its keys sees every product."""
-    if reduce(or_, out, 0) & _GUARDS:
-        raise ValueError(f"exponent overflow: a product has an exponent >= {_LIMIT}")
-
-
-def _product(a: "MPoly", b: "MPoly") -> "MPoly":
-    out: Dict[int, int] = {}
-    _accumulate(out, a._num, b._num, 1)
-    _check_guards(out)
-    return _make(out, a._den * b._den)
 
 
 def sum_products(items: Iterable[Tuple[Scalar, "MPoly", "MPoly"]]) -> "MPoly":
@@ -146,7 +129,11 @@ def sum_products(items: Iterable[Tuple[Scalar, "MPoly", "MPoly"]]) -> "MPoly":
     out: Dict[int, int] = {}
     for p, d, a, b in terms:
         _accumulate(out, a, b, p * (den // d))
-    _check_guards(out)
+    # Factor exponents lie below 2**15, so field sums never carry into the next
+    # field, and a product overflows exactly when its key sets a guard bit.  No
+    # key has left ``out`` yet (zero sums included), so one OR sees every product.
+    if reduce(or_, out, 0) & _GUARDS:
+        raise ValueError(f"exponent overflow: a product has an exponent >= {_LIMIT}")
     return _make(out, den)
 
 
@@ -196,16 +183,7 @@ class MPoly:
                      self._den)
 
     def __add__(self, other: PolyInput) -> "MPoly":
-        big, small = self, MPoly.coerce(other)
-        if len(big._num) < len(small._num):
-            big, small = small, big
-        g = gcd(big._den, small._den)
-        mb, ms = small._den // g, big._den // g
-        out = dict(big._num) if mb == 1 else {k: c * mb for k, c in big._num.items()}
-        get = out.get
-        for k, c in small._num.items():
-            out[k] = get(k, 0) + c * ms
-        return _make(out, big._den * mb)
+        return sum_products(((1, self, _ONE), (1, MPoly.coerce(other), _ONE)))
 
     __radd__ = __add__
 
@@ -213,13 +191,13 @@ class MPoly:
         return _wrap({k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other: PolyInput) -> "MPoly":
-        return self + (-MPoly.coerce(other))
+        return sum_products(((1, self, _ONE), (-1, MPoly.coerce(other), _ONE)))
 
     def __rsub__(self, other: PolyInput) -> "MPoly":
         return MPoly.coerce(other) - self
 
     def __mul__(self, other: PolyInput) -> "MPoly":
-        return _product(self, MPoly.coerce(other))
+        return sum_products(((1, self, MPoly.coerce(other)),))
 
     __rmul__ = __mul__
 
@@ -230,6 +208,8 @@ class MPoly:
         return _make({k: c * p for k, c in self._num.items()}, self._den * value.denominator)
 
     def __pow__(self, n: int) -> "MPoly":
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise TypeError(f"a polynomial power needs an int exponent, got {type(n).__name__}")
         if n < 0:
             raise ValueError("negative power of a polynomial")
         result, base = _ONE, self

@@ -116,3 +116,19 @@ def test_empty_series_rejected():
         EgfSeries([])
     with pytest.raises(ValueError):
         EgfSeries.from_function(-1, lambda n: MPoly.one())
+
+
+def test_coefficient_index_is_an_int():
+    # s[True] is not a_1: a bool index raises like any other non-int.
+    for bad in (True, False, 1.0):
+        with pytest.raises(TypeError):
+            ones(3)[bad]
+
+
+def test_series_multiply_only_series():
+    # A scalar is not a series: Python reports the unsupported operand.
+    for bad in (2, Fraction(1, 2), MPoly.one()):
+        with pytest.raises(TypeError):
+            ones(3) * bad
+        with pytest.raises(TypeError):
+            bad * ones(3)

@@ -1,9 +1,13 @@
+import ast
+import inspect
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from degenpoly import multipoly
 from degenpoly.multipoly import MPoly, VARIABLES, sum_products
 
 L = MPoly.variable("l")
@@ -237,3 +241,35 @@ def test_only_polynomials_equal_polynomials():
     assert MPoly.constant(Fraction(1, 2)) != Fraction(1, 2)
     assert len({MPoly.one(), 1}) == 2
     assert MPoly.constant(Fraction(2, 4)) == MPoly.constant(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(2), "2"])
+def test_power_needs_an_int_exponent(bad):
+    # True is not the exponent 1: a bool, like a float, raises TypeError.
+    with pytest.raises(TypeError, match="int exponent"):
+        X ** bad
+
+
+def test_sum_products_is_the_one_accumulation_kernel(monkeypatch):
+    # +, - and * each run the pair loop through sum_products; no other
+    # function of the module names the pair loop.
+    calls = []
+    original = multipoly._accumulate
+
+    def counted(*args):
+        calls.append(args)
+        original(*args)
+
+    monkeypatch.setattr(multipoly, "_accumulate", counted)
+    p, q = X + Y * I, X.scale(Fraction(1, 3)) - L
+    for name, op in (("+", operator.add), ("-", operator.sub), ("*", operator.mul)):
+        calls.clear()
+        op(p, q)
+        assert calls, f"{name} did not run _accumulate"
+
+    # The top-level statements that name _accumulate (its own def names it
+    # without an ast.Name node); an assignment has no name and would show as None.
+    tree = ast.parse(inspect.getsource(multipoly))
+    users = {getattr(node, "name", None) for node in tree.body
+             if any(isinstance(n, ast.Name) and n.id == "_accumulate" for n in ast.walk(node))}
+    assert users == {"sum_products"}
