@@ -34,6 +34,8 @@ def _climb(u: PolyInput, n: int, step: MPoly) -> MPoly:
     """Product of (u + j*step) for j = 0..n-1, extending the cached list of
     lower degrees one factor at a time: the checks' sums ask for the same few
     factorials many times, and a cold high degree never recurses."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"a factorial product needs an int n, got {type(n).__name__}")
     if n < 0:
         raise ValueError("a factorial product needs n >= 0")
     rungs = _ladder(u, step)
@@ -53,6 +55,8 @@ def gen_falling_factorial(u: PolyInput, n: int, step: int = -1) -> MPoly:
     step=-1 gives the descending variant u(u-l)(u-2l)...; step=+1 the
     ascending one u(u+l)(u+2l)....
     """
+    if isinstance(step, bool) or not isinstance(step, int):
+        raise TypeError(f"step must be an int, got {type(step).__name__}")
     if step not in (-1, 1):
         raise ValueError("step must be -1 or +1")
     return _climb(u, n, _PLUS_L if step == 1 else _MINUS_L)

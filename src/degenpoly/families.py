@@ -22,10 +22,10 @@ import enum
 import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .combinat import StirlingKind, gen_falling_factorial, stirling_table
-from .egfseries import EgfSeries, binom_sum
+from .egfseries import EgfSeries
 from .multipoly import MPoly, PolyInput, sum_products
 
 
@@ -67,6 +67,8 @@ def deg_exp_series(exponent: PolyInput, order: int) -> EgfSeries:
 
     Coefficient n is the generalized falling factorial (exponent)_{n,l}.
     """
+    if order < 0:
+        raise ValueError("order must be non-negative")
     exponent = MPoly.coerce(exponent)
     coeffs = [MPoly.one()]
     lam = MPoly.variable("l")
@@ -129,7 +131,12 @@ def family(kind: FamilyKind, order: int) -> EgfSeries:
 @lru_cache(maxsize=None, typed=True)
 def trig_stirling_rows(trig: str, order: int) -> Tuple[MPoly, ...]:
     """Rows T_m = sum_j (-1)^(j//2) S1(m, j) l^(m-j) y^j for m = 0..order, over
-    j even (cos) or odd (sin), read from the first-kind Stirling table."""
+    j even (cos) or odd (sin), read from the first-kind Stirling table.
+
+    The closed forms sum (-1)^(j//2) binom(n, m) l^(m-j) y^j S1(m, j) inner[n-m]
+    over those j and m = j..n.  The sum over j depends on neither n nor
+    ``inner``, so it is grouped by m into these rows: the double sum is
+    sum_m binom(n, m) T_m inner[n-m], coefficient n of the rows times ``inner``."""
     s1 = stirling_table(StirlingKind.FIRST, order)
     return tuple(
         sum_products(((-1) ** (j // 2), s1.entry(m, j), MPoly({(m - j, 0, j, 0): 1}))
@@ -138,29 +145,20 @@ def trig_stirling_rows(trig: str, order: int) -> Tuple[MPoly, ...]:
     )
 
 
-def trig_stirling_sum(trig: str, n: int, inner: Sequence[MPoly]) -> MPoly:
-    """sum over j even (cos) or odd (sin) and m = j..n of
-    (-1)^(j//2) binom(n, m) l^(m-j) y^j S1(m, j) inner[n-m].
-
-    The sum over j does not depend on n or on ``inner``, so it is grouped by m
-    into the rows T_m of ``trig_stirling_rows`` and the sum taken as
-    sum_m binom(n, m) T_m inner[n-m]; the rows go to the order of ``inner``."""
-    rows = trig_stirling_rows(trig, len(inner) - 1)
-    return binom_sum(n, lambda m: (rows[m], inner[n - m]))
-
-
 @lru_cache(maxsize=None, typed=True)
 def family_closed(kind: FamilyKind, order: int) -> EgfSeries:
     """Closed-form route for the six cos/sin families: the theorem double
-    sums, term by term."""
+    sums, the rows of ``trig_stirling_rows`` times (x)_{n,l} or the plain
+    kernel family."""
     kernel, _, trig = _STRUCTURE[kind]
     if trig is None:
         raise ValueError(f"{kind.value} has no closed-form route")
     if kernel is None:
-        inner = [gen_falling_factorial(MPoly.variable("x"), n) for n in range(order + 1)]
+        inner = EgfSeries([gen_falling_factorial(MPoly.variable("x"), n)
+                           for n in range(order + 1)])
     else:
-        inner = family(_KIND[kernel, None], order).polys
-    return EgfSeries([trig_stirling_sum(trig, n, inner) for n in range(order + 1)])
+        inner = family(_KIND[kernel, None], order)
+    return EgfSeries(trig_stirling_rows(trig, order)) * inner
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -20,11 +20,12 @@ Shift checks keep the shift amount r symbolic.
 The catalog is the list ``_CATALOG`` at the end of the module; ``IdentityId``,
 ``CITATIONS`` and the dispatch of ``IdentityEngine.verify`` are derived from
 it, and its order is the report order.  To add an identity, write a check
-method ``_name(self, tag, n, *args)`` that returns an ``IdentityReport`` (most
-end with ``self._simple(tag, n, pairs)`` on (lhs, rhs) pairs), then add a row
-``(tag, citation, check, args)``.  A cos/sin twin is one row with a pair of
-tags and a pair of citations; its check receives ``trig`` ("cos", then "sin")
-before ``args``.
+method ``_name(self, n, *args)`` that returns its equations at degree n as
+``(name, lhs, rhs)`` triples, then add a row ``(tag, citation, check, args)``.
+A cos/sin twin is one row with a pair of tags and a pair of citations; its
+check receives ``trig`` ("cos", then "sin") before ``args``.  ``_judge`` alone
+turns equations into a verdict, naming every unequal one.  If the equations
+are alternative readings of one display, list the check in ``_READINGS``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .families import (
     complex_series,
     family,
     family_closed,
-    trig_stirling_sum,
+    trig_stirling_rows,
 )
 from .multipoly import MPoly, sum_products
 
@@ -56,8 +57,9 @@ class IdentityReport(NamedTuple):
     id: IdentityId
     n: int
     verdict: str  # "holds" | "fails" | "holds_variant"
-    lhs_minus_rhs: MPoly = MPoly.zero()
+    lhs_minus_rhs: MPoly = MPoly.zero()  # the first failing residual
     variant_note: str = ""
+    failing: Tuple[Tuple[str, MPoly], ...] = ()  # (name, residual) of each unequal equation
 
     def to_json_dict(self) -> dict:
         out = {
@@ -69,7 +71,24 @@ class IdentityReport(NamedTuple):
         }
         if self.variant_note:
             out["variant_note"] = self.variant_note
+        if self.failing:
+            out["failing"] = {name: residual.to_text() for name, residual in self.failing}
         return out
+
+
+def _judge(tag: IdentityId, n: int, equations: Sequence[Tuple[str, MPoly, MPoly]],
+           readings: str) -> IdentityReport:
+    """The verdict on a check's (name, lhs, rhs) equations; ``readings`` is the
+    ``_READINGS`` note of a check whose equations read one display, else ""."""
+    failing = tuple((name, lhs - rhs) for name, lhs, rhs in equations if lhs != rhs)
+    if not failing:
+        return IdentityReport(tag, n, "holds")
+    if readings and len(failing) < len(equations):
+        held = ", ".join(name for name, lhs, rhs in equations if lhs == rhs)
+        lost = "; ".join(f"{name} residual: {res.to_text()}" for name, res in failing)
+        return IdentityReport(tag, n, "holds_variant", MPoly.zero(),
+                              f"{readings}; surviving variant: {held}; {lost}")
+    return IdentityReport(tag, n, "fails", failing[0][1], failing=failing)
 
 
 class IdentityEngine:
@@ -103,19 +122,9 @@ class IdentityEngine:
         return [sum_products((1, s2.entry(k, l), falling_factorial(xv, l)) for l in range(k + 1))
                 for k in range(self.degree + 1)]
 
-    # -- report helpers -----------------------------------------------
-
-    def _simple(self, tag: IdentityId, n: int,
-                pairs: Sequence[Tuple[MPoly, MPoly]]) -> IdentityReport:
-        """Fails with the residual lhs - rhs of the first unequal pair."""
-        for lhs, rhs in pairs:
-            if lhs != rhs:
-                return IdentityReport(tag, n, "fails", lhs - rhs)
-        return IdentityReport(tag, n, "holds")
-
     # -- the checks ----------------------------------------------------
 
-    def _t1(self, tag, n, sign):
+    def _t1(self, n, sign):
         # E_n(x + sign*iy), the image of E_n(x + iy) under y -> sign*y, over E_l(x) and
         # over the numbers; at x - iy the factorials ascend: (-u)_{k,l} = (-1)^k <u>_{k,l}.
         yv = MPoly.variable("y")
@@ -123,16 +132,16 @@ class IdentityEngine:
         euler, nums = family(FamilyKind.DEG_EULER, self.degree), self.x0(FamilyKind.DEG_EULER)
         lhs = complex_series("euler", self.degree)[n].substitute("y", yv.scale(sign))
         signed = [math.comb(n, l) * sign ** (n - l) for l in range(n + 1)]
-        return self._simple(tag, n, [
-            (lhs, sum_products((b, gen_falling_factorial(u, n - l, step=-sign), polys[l])
-                               for l, b in enumerate(signed)))
-            for u, polys in ((iy, euler), (MPoly.variable("x").scale(sign) + iy, nums))])
+        return [(name, lhs, sum_products((b, gen_falling_factorial(u, n - l, step=-sign), polys[l])
+                                         for l, b in enumerate(signed)))
+                for name, u, polys in (("polynomials", iy, euler),
+                                       ("numbers", MPoly.variable("x").scale(sign) + iy, nums))]
 
-    def _route_pair(self, tag, n, trig):
+    def _route_pair(self, n, trig):
         kind, degree = _KIND[None, trig], self.degree
-        return self._simple(tag, n, [(family(kind, degree)[n], family_closed(kind, degree)[n])])
+        return [("closed", family(kind, degree)[n], family_closed(kind, degree)[n])]
 
-    def _convolution(self, tag, n, trig, kernel):
+    def _convolution(self, n, trig, kernel):
         # Theorem 3 / Section 3 theorem: kernel numbers convolved with the
         # trig polynomials, and the closed form.
         kind = _KIND[kernel, trig]
@@ -140,59 +149,58 @@ class IdentityEngine:
         nums, trig_polys = self.x0(_KIND[kernel, None]), family(_KIND[None, trig], self.degree)
         conv = binom_sum(n, lambda k: (nums[k], trig_polys[n - k]))
         closed = family_closed(kind, self.degree)[n]
-        return self._simple(tag, n, [(lhs, conv), (lhs, closed)])
+        return [("conv", lhs, conv), ("closed", lhs, closed)]
 
-    def _t4(self, tag, n, trig):
+    def _t4(self, n, trig):
         euler_family = family(_KIND["euler", trig], self.degree)
         lhs = family(_KIND[None, trig], self.degree)[n]
         acc = binom_sum(n, lambda l: (gen_falling_factorial(1, n - l), euler_family[l]))
         rhs = (acc + euler_family[n]).scale(Fraction(1, 2))
-        return self._simple(tag, n, [(lhs, rhs)])
+        return [("binom_sum", lhs, rhs)]
 
-    def _shift(self, tag, n, trig, kernel):
+    def _shift(self, n, trig, kernel):
         polys = family(_KIND[kernel, trig], self.degree)
         rv = MPoly.variable("r")
         lhs = polys[n].substitute("x", MPoly.variable("x") + rv)
         rhs = binom_sum(n, lambda l: (polys[l], gen_falling_factorial(rv, n - l)))
-        return self._simple(tag, n, [(lhs, rhs)])
+        return [("shift", lhs, rhs)]
 
-    def _reflect(self, tag, n, trig, kernel):
+    def _reflect(self, n, trig, kernel):
         polys = family(_KIND[kernel, trig], self.degree)
         sign_exp = n if trig == "cos" else n + 1
         lhs = polys[n].substitute("x", MPoly.one() - MPoly.variable("x"))
         rhs = polys[n].substitute("l", -MPoly.variable("l")).scale((-1) ** sign_exp)
-        return self._simple(tag, n, [(lhs, rhs)])
+        return [("reflect", lhs, rhs)]
 
-    def _t9(self, tag, n, trig):
+    def _t9(self, n, trig):
         # Reads index n + 1, which is why the engine builds to degree n_max + 1.
         bern_family = family(_KIND["bernoulli", trig], self.degree)
         lhs = family(_KIND[None, trig], self.degree)[n].scale(n + 1)
         shifted = bern_family[n + 1].substitute("x", MPoly.variable("x") + 1)
         rhs = shifted - bern_family[n + 1]
-        return self._simple(tag, n, [(lhs, rhs)])
+        return [("difference", lhs, rhs)]
 
-    def _c10(self, tag, n, trig):
+    def _c10(self, n, trig):
         bern_family = family(_KIND["bernoulli", trig], self.degree)
         lhs = family(_KIND[None, trig], self.degree)[n].scale(n + 1)
         rhs = sum_products(
             (math.comb(n + 1, l), bern_family[l], gen_falling_factorial(1, n + 1 - l))
             for l in range(n + 1))
-        return self._simple(tag, n, [(lhs, rhs)])
+        return [("binom_sum", lhs, rhs)]
 
-    def _e61_e62(self, tag, n):
+    def _e61_e62(self, n):
         nums = self.x0(FamilyKind.DEG_BERNOULLI)
-        return self._simple(tag, n, [
-            (self.x0(_KIND["bernoulli", trig])[n], trig_stirling_sum(trig, n, nums))
-            for trig in ("cos", "sin")
-        ])
+        rows = {trig: trig_stirling_rows(trig, self.degree) for trig in ("cos", "sin")}
+        return [(trig, self.x0(_KIND["bernoulli", trig])[n],
+                 binom_sum(n, lambda m: (rows[trig][m], nums[n - m]))) for trig in rows]
 
     def _u_sum(self, n, polys) -> MPoly:
         """The Stirling sum sum_k binom(n, k) U_k P_{n-k}, with U_k from ``_u_table``."""
         return binom_sum(n, lambda k: (self._u_table[k], polys[n - k]))
 
-    def _t7(self, tag, n, trig):
+    def _t7(self, n, trig):
         # Theorem 7's two displays disagree on the binomial index (n over l
-        # vs n over k); check both and name the survivor.  With binom(n, l) the
+        # vs n over k); both are readings (``_READINGS``).  With binom(n, l) the
         # sums swap to sum_l binom(n, l) (x)_l sum_{k=l..n} S2_deg(k, l) P_{n-k}.
         kind = _KIND["euler", trig]
         lhs, nums = family(kind, self.degree)[n], self.x0(kind)
@@ -200,41 +208,22 @@ class IdentityEngine:
         s2 = stirling_table(StirlingKind.DEGENERATE_SECOND, self.degree)
         swapped = binom_sum(n, lambda l: (falling_factorial(xv, l), sum_products(
             (1, s2.entry(k, l), nums[n - k]) for k in range(l, n + 1))))
-        rhs = {"k": self._u_sum(n, nums), "l": swapped}
-        failing = [b for b, side in rhs.items() if side != lhs]
-        if not failing:
-            return IdentityReport(tag, n, "holds")
-        if len(failing) == 2:
-            return IdentityReport(tag, n, "fails", lhs - rhs["k"], "both binomial variants fail")
-        lost = failing[0]
-        note = (
-            "inner Euler factor read with the deformation subscript as in the "
-            f"surrounding displays; surviving variant: binom(n,{'l' if lost == 'k' else 'k'}); "
-            f"binom(n,{lost}) residual: {(lhs - rhs[lost]).to_text()}"
-        )
-        return IdentityReport(tag, n, "holds_variant", MPoly.zero(), note)
+        return [("binom(n,k)", lhs, self._u_sum(n, nums)), ("binom(n,l)", lhs, swapped)]
 
-    def _e63(self, tag, n, trig):
+    def _e63(self, n, trig):
         kind = _KIND["bernoulli", trig]
-        rhs = self._u_sum(n, self.x0(kind))
-        return self._simple(tag, n, [(family(kind, self.degree)[n], rhs)])
+        return [("stirling", family(kind, self.degree)[n], self._u_sum(n, self.x0(kind)))]
 
-    def _l0(self, tag, n):
-        return self._simple(tag, n, [
-            (family(kind, self.degree)[n].substitute("l", 0),
-             classical_family(kind, self.degree)[n])
-            for kind in FamilyKind
-        ])
+    def _l0(self, n):
+        return [(kind.value, family(kind, self.degree)[n].substitute("l", 0),
+                 classical_family(kind, self.degree)[n])
+                for kind in FamilyKind]
 
-    def _decomposition(self, tag, n):
-        e_re, e_im = complex_series("euler", self.degree)[n].split_real_imag()
-        b_re, b_im = complex_series("bernoulli", self.degree)[n].split_real_imag()
-        return self._simple(tag, n, [
-            (e_re, family(FamilyKind.DEG_COS_EULER, self.degree)[n]),
-            (e_im, family(FamilyKind.DEG_SIN_EULER, self.degree)[n]),
-            (b_re, family(FamilyKind.DEG_COS_BERNOULLI, self.degree)[n]),
-            (b_im, family(FamilyKind.DEG_SIN_BERNOULLI, self.degree)[n]),
-        ])
+    def _decomposition(self, n):
+        return [(kind.value, part, family(kind, self.degree)[n])
+                for kernel in ("euler", "bernoulli")
+                for kind, part in zip((_KIND[kernel, "cos"], _KIND[kernel, "sin"]),
+                                      complex_series(kernel, self.degree)[n].split_real_imag())]
 
     # -- public API ----------------------------------------------------
 
@@ -242,7 +231,8 @@ class IdentityEngine:
         if tag not in _DISPATCH:
             raise ValueError(f"unknown identity tag {tag!r}")
         check, args = _DISPATCH[tag]
-        return [check(self, tag, n, *args) for n in range(self.n_max + 1)]
+        readings = _READINGS.get(check, "")
+        return [_judge(tag, n, check(self, n, *args), readings) for n in range(self.n_max + 1)]
 
 
 def summarize(reports: Sequence[IdentityReport]) -> Dict[str, object]:
@@ -258,6 +248,11 @@ def summarize(reports: Sequence[IdentityReport]) -> Dict[str, object]:
 
 
 _E = IdentityEngine
+
+# The checks whose equations are alternative readings of one display, with
+# the note that opens their ``holds_variant`` reports.
+_READINGS = {_E._t7: "inner Euler factor read with the deformation subscript as in the "
+                     "surrounding displays"}
 
 # (tag, citation, check, args) in report order; a twin row holds (cos, sin) pairs.
 _CATALOG = [

@@ -97,11 +97,10 @@ def _make(nums: Dict[int, int], den: int) -> "MPoly":
 
 
 def _accumulate(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int], m: int) -> None:
-    """Add m times the product of the numerator dicts a and b into ``out``; the
-    caller, ``sum_products``, checks ``out`` for overflow before ``_make``."""
+    """Add m times the product of the numerator dicts a and b, both non-empty,
+    into ``out``; the caller, ``sum_products``, skips zero polynomials and
+    checks ``out`` for overflow before ``_make``."""
     outer, inner = (a, b) if len(a) <= len(b) else (b, a)
-    if not outer:
-        return
     plain = inner.items()
     # Partners of an outer term with i: i*i = -1 clears the i bit and flips the sign.
     turned = ([(k - 2 * _I, -c) if k >= _I else (k, c) for k, c in plain]

@@ -135,6 +135,32 @@ def test_verify_json_and_exit_status(capsys):
     assert all(r["residual"] == "0" for r in reports)
 
 
+def test_verify_json_names_every_failing_equation(capsys, monkeypatch):
+    # A deg-cosine family off by r fails T2_cos, whose one equation is the
+    # closed form; T2_sin reads no cosine family and its lines stay as they were.
+    import degenpoly.identities as identities
+    from degenpoly.egfseries import EgfSeries
+    from degenpoly.families import FamilyKind
+    from degenpoly.multipoly import MPoly
+
+    def perturbed(kind, order):
+        seq, r = family(kind, order), MPoly.variable("r")
+        return EgfSeries([p + r for p in seq.polys]) if kind is FamilyKind.DEG_COSINE else seq
+
+    monkeypatch.setattr(identities, "family", perturbed)
+    code, out, _ = run_cli(capsys, "verify", "--identity", "T2_cos,T2_sin",
+                           "--n-max", "2", "--format", "json")
+    assert code == 1
+    *reports, summary = [json.loads(line) for line in out.splitlines()]
+    assert summary["summary"]["fails"] == 3 and summary["summary"]["ok"] is False
+    for rep in reports:
+        if rep["id"] == "T2_cos":
+            assert rep["verdict"] == "fails"
+            assert rep["failing"] == {"closed": "r"} and rep["residual"] == "r"
+        else:
+            assert rep["verdict"] == "holds" and "failing" not in rep
+
+
 def test_verify_unknown_tag(capsys):
     code, _, err = run_cli(capsys, "verify", "--identity", "bogus", "--n-max", "2")
     assert code == 2

@@ -147,7 +147,12 @@ def test_negative_n_rejected():
 @pytest.mark.parametrize("factorial", [falling_factorial, gen_falling_factorial])
 @pytest.mark.parametrize("bad", [1.0, True], ids=repr)
 def test_cached_int_does_not_admit_an_equal_float_or_bool(factorial, bad):
-    # 1, 1.0 and True are one dict key; the caches must still tell them apart.
+    # 1, 1.0 and True are one dict key; the caches must still tell them apart,
+    # and a degree or step of 1.0 or True must not run as 1.
     factorial(1, 3)
     with pytest.raises(TypeError):
         factorial(bad, 3)
+    with pytest.raises(TypeError):
+        factorial(X, bad)
+    with pytest.raises(TypeError):
+        gen_falling_factorial(X, 3, step=bad)

@@ -169,6 +169,20 @@ def test_family_closed_rejects_kinds_without_trig_factor(kind):
         family_closed(kind, 4)
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: deg_exp_series(X, -1), id="deg_exp_series"),
+    pytest.param(lambda: deg_cos_sin_series(-1), id="deg_cos_sin_series"),
+    pytest.param(lambda: family_closed(FamilyKind.DEG_COSINE, -1), id="family_closed"),
+    *(pytest.param(lambda kind=kind: family(kind, -1), id=f"family-{kind.value}")
+      for kind in FamilyKind),
+])
+def test_negative_order_rejected(build):
+    # deg_exp_series(u, -1) returned an order-0 series, so family(deg-cosine, -1)
+    # returned one coefficient where every kernel kind raised.
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_numbers_equal_polynomials_at_x_zero():
     for num_kind, poly_kind in (
         (FamilyKind.DEG_EULER_NUM, FamilyKind.DEG_EULER),

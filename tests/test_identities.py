@@ -193,6 +193,21 @@ _MUTATION_MAP = {
 }
 
 
+def _failing_names(kind, tag):
+    """The equations a check with several must name when ``kind`` is perturbed,
+    or None for the checks this does not pin."""
+    if tag in ("L0_classical_limits", "D_decomposition"):
+        return {kind.value}
+    if tag.startswith(("T3_", "TB_closed_")):
+        # The lhs family enters both equations; a factor family only the convolution.
+        kernel = "euler" if tag.startswith("T3_") else "bernoulli"
+        lhs = families._KIND[kernel, tag.rsplit("_", 1)[1]]
+        return {"conv", "closed"} if kind is lhs else {"conv"}
+    if tag.startswith("T7_"):
+        return {"binom(n,k)", "binom(n,l)"}
+    return None
+
+
 @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda kind: kind.value)
 def test_each_check_reads_its_own_family(monkeypatch, kind):
     import degenpoly.identities as identities
@@ -210,6 +225,15 @@ def test_each_check_reads_its_own_family(monkeypatch, kind):
     reports, _ = _verify_all(IdentityEngine(4))
     failing = {rep.id.value for rep in reports if rep.verdict == "fails"}
     assert failing == _MUTATION_MAP[kind]
+    for rep in reports:
+        if rep.verdict != "fails":
+            assert rep.failing == ()
+            continue
+        # Every unequal equation is named; the residual shown is the first one's.
+        names = {name for name, _ in rep.failing}
+        assert rep.failing[0][1] == rep.lhs_minus_rhs
+        assert all(residual != MPoly.zero() for _, residual in rep.failing)
+        assert names == (_failing_names(kind, rep.id.value) or names), (rep.id, rep.n)
     if kind is FamilyKind.DEG_COSINE:
         # T2_cos compares the family with its closed form: the residual is r.
         t2 = [rep for rep in reports if rep.id is IdentityId.T2_COS]

@@ -93,7 +93,7 @@ def test_classical_route_calls_no_generating_function_constructor():
 def test_closed_form_route_reaches_the_kernels_only_through_the_plain_kernel_family(kind):
     kernel = families._STRUCTURE[kind][0]
     calls = _record(lambda: family_closed(kind, 6))
-    closed_form = {"family_closed", "trig_stirling_rows", "trig_stirling_sum"}
+    closed_form = {"family_closed", "trig_stirling_rows"}
     gf = {"family", "kernel_series", "deg_exp_series"} if kernel else set()
     assert _own(calls, lambda m, f: m == "degenpoly.combinat"
                 or m == "degenpoly.families" and f in closed_form | gf) == set()
