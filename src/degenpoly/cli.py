@@ -193,8 +193,8 @@ def _cmd_verify(args) -> int:
     else:
         for rep in reports:
             line = f"{rep.id.value} n={rep.n} {rep.verdict}"
-            if rep.verdict == "fails":
-                line += f" residual={rep.lhs_minus_rhs.to_text()}"
+            for name, residual in rep.failing:
+                line += f" residual[{name}]={residual.to_text()}"
             if rep.variant_note:
                 line += f" ({rep.variant_note})"
             print(line)

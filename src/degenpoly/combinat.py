@@ -1,10 +1,9 @@
 """Factorial-type products and Stirling number tables.
 
-Both Stirling kinds are computed from their defining relations rather than
-hard-coded recurrences: the first kind by expanding the falling factorial
-as a polynomial, the degenerate second kind by extracting coefficients of
-powers of the degenerate-exponential-minus-one series.  The classical
-second kind is the l = 0 specialization of the degenerate table.
+The three Stirling tables are one construction, the column generating
+functions of Carlitz: column k of a table is base(t)^k / k!, with base(t) the
+series log(1+t) for the first kind, e^t - 1 for the second and e_l(t) - 1 for
+the degenerate second kind.  Only the n! [t^n] coefficients of base differ.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Tuple
 
-from .egfseries import EgfSeries
-from .multipoly import MPoly, PolyInput
+from .multipoly import MPoly, PolyInput, sum_products
 
 
 # The three factor steps: u(u-1)(u-2)..., u(u-l)(u-2l)... and u(u+l)(u+2l)....
@@ -68,6 +66,14 @@ class StirlingKind(enum.Enum):
     DEGENERATE_SECOND = "degenerate-second"
 
 
+# n! [t^n] of each kind's base series for n >= 1: log(1+t), e^t - 1 and e_l(t) - 1.
+_BASE = {
+    StirlingKind.FIRST: lambda n: MPoly.constant((-1) ** (n - 1) * math.factorial(n - 1)),
+    StirlingKind.SECOND: lambda n: MPoly.one(),
+    StirlingKind.DEGENERATE_SECOND: lambda n: gen_falling_factorial(1, n),
+}
+
+
 class StirlingTable:
     """Triangular read-only table of Stirling entries as MPoly values.
 
@@ -88,45 +94,21 @@ class StirlingTable:
 
     @classmethod
     def build(cls, kind: StirlingKind, n_max: int) -> "StirlingTable":
+        """entry(n, k) = n! [t^n] base(t)^k / k!.  Base has no constant term, so
+        column k starts at row k, and each entry is one sum over the column
+        before it: c_k = c_{k-1} * base / k, a binomial convolution."""
+        if kind not in _BASE:
+            raise ValueError(f"unknown kind {kind}")
         if n_max < 0:
             raise ValueError("n_max must be non-negative")
-        if kind is StirlingKind.FIRST:
-            rows = cls._build_first(n_max)
-        elif kind is StirlingKind.DEGENERATE_SECOND:
-            rows = cls._build_degenerate_second(n_max)
-        elif kind is StirlingKind.SECOND:
-            deg = cls._build_degenerate_second(n_max)
-            rows = tuple(
-                tuple(entry.substitute("l", 0) for entry in row) for row in deg
-            )
-        else:  # pragma: no cover
-            raise ValueError(f"unknown kind {kind}")
-        return cls(rows)
-
-    @staticmethod
-    def _build_first(n_max):
-        # entry(n, k) = coefficient of x^k in (x)_n, by direct expansion.
-        rows = []
-        for n in range(n_max + 1):
-            expanded = falling_factorial(MPoly.variable("x"), n)
-            rows.append(tuple(expanded.coefficient((0, k, 0, 0)) for k in range(n + 1)))
-        return tuple(rows)
-
-    @staticmethod
-    def _build_degenerate_second(n_max):
-        # entry(n, k) = n! [t^n] (e_l(t)-1)^k / k!, extracted from series powers.
-        base = EgfSeries.from_function(
-            n_max, lambda n: MPoly.zero() if n == 0 else gen_falling_factorial(1, n)
-        )
-        rows = [[None] * (n + 1) for n in range(n_max + 1)]
-        power = EgfSeries.unit(n_max)
-        for k in range(n_max + 1):
-            if k > 0:
-                power = power * base
-            inv_kfact = Fraction(1, math.factorial(k))
-            for n in range(k, n_max + 1):
-                rows[n][k] = power[n].scale(inv_kfact)
-        return tuple(tuple(row) for row in rows)
+        base = [None] + [_BASE[kind](n) for n in range(1, n_max + 1)]
+        rows = [(MPoly.one(),)]
+        for n in range(1, n_max + 1):
+            rows.append((MPoly.zero(),) + tuple(
+                sum_products((math.comb(n, j), rows[j][k - 1], base[n - j])
+                             for j in range(k - 1, n)).scale(Fraction(1, k))
+                for k in range(1, n + 1)))
+        return cls(tuple(rows))
 
 
 @lru_cache(maxsize=None, typed=True)

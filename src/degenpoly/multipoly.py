@@ -175,12 +175,6 @@ class MPoly:
     def __bool__(self) -> bool:
         return bool(self._num)
 
-    def coefficient(self, exps: Exponents) -> "MPoly":
-        """The coefficient of one monomial, as a degree-0 polynomial."""
-        key = _pack(exps)
-        return _make({k - key: self._num[k] for k in (key, key | _I) if k in self._num},
-                     self._den)
-
     def __add__(self, other: PolyInput) -> "MPoly":
         return sum_products(((1, self, _ONE), (1, MPoly.coerce(other), _ONE)))
 

@@ -161,6 +161,40 @@ def test_verify_json_names_every_failing_equation(capsys, monkeypatch):
             assert rep["verdict"] == "holds" and "failing" not in rep
 
 
+def test_verify_text_names_every_failing_equation(capsys, monkeypatch):
+    # The text twin of the JSON test above: each failing equation is printed
+    # as residual[<name>]=<text>, in the order its check returns them (both
+    # T7 readings fail with deg-cos-euler off by r), and passing lines keep
+    # their form.
+    import degenpoly.identities as identities
+    from degenpoly.egfseries import EgfSeries
+    from degenpoly.families import FamilyKind
+    from degenpoly.multipoly import MPoly
+
+    def perturbed(kind, order):
+        seq, r = family(kind, order), MPoly.variable("r")
+        off = kind in (FamilyKind.DEG_COSINE, FamilyKind.DEG_COS_EULER)
+        return EgfSeries([p + r for p in seq.polys]) if off else seq
+
+    monkeypatch.setattr(identities, "family", perturbed)
+    code, out, _ = run_cli(capsys, "verify", "--identity", "T2_cos,T2_sin,T7_stirling_euler_cos",
+                           "--n-max", "2", "--format", "text")
+    assert code == 1
+    assert out.splitlines() == [
+        "T2_cos n=0 fails residual[closed]=r",
+        "T2_cos n=1 fails residual[closed]=r",
+        "T2_cos n=2 fails residual[closed]=r",
+        "T2_sin n=0 holds",
+        "T2_sin n=1 holds",
+        "T2_sin n=2 holds",
+        "T7_stirling_euler_cos n=0 holds",
+        "T7_stirling_euler_cos n=1 fails residual[binom(n,k)]=-x*r residual[binom(n,l)]=-x*r",
+        "T7_stirling_euler_cos n=2 fails residual[binom(n,k)]=-x^2*r + l*x*r - 2*x*r"
+        " residual[binom(n,l)]=-x^2*r + 2*l*x*r + l*x - 3*x*r - x",
+        "FAILED: 4 hold, 0 hold (variant), 5 fail",
+    ]
+
+
 def test_verify_unknown_tag(capsys):
     code, _, err = run_cli(capsys, "verify", "--identity", "bogus", "--n-max", "2")
     assert code == 2

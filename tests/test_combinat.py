@@ -4,6 +4,7 @@ import pytest
 
 from degenpoly.combinat import (
     StirlingKind,
+    StirlingTable,
     falling_factorial,
     gen_falling_factorial,
     stirling_table,
@@ -47,20 +48,22 @@ def test_stirling_first_values():
         assert _entry(StirlingKind.FIRST, n, n) == MPoly.one()
 
 
-def test_stirling_first_reconstruction():
+@pytest.mark.parametrize("n_max", [8, 20])
+def test_stirling_first_reconstruction(n_max):
     # Row n recombines to the falling factorial exactly.
-    table = stirling_table(StirlingKind.FIRST, 8)
-    for n in range(9):
+    table = stirling_table(StirlingKind.FIRST, n_max)
+    for n in range(n_max + 1):
         total = MPoly.zero()
         for k in range(n + 1):
             total = total + table.entry(n, k) * X ** k
         assert total == falling_factorial(X, n)
 
 
-def test_stirling_second_reconstruction():
+@pytest.mark.parametrize("n_max", [8, 20])
+def test_stirling_second_reconstruction(n_max):
     # x^n recombines over falling factorials exactly.
-    table = stirling_table(StirlingKind.SECOND, 8)
-    for n in range(9):
+    table = stirling_table(StirlingKind.SECOND, n_max)
+    for n in range(n_max + 1):
         total = MPoly.zero()
         for k in range(n + 1):
             total = total + table.entry(n, k) * falling_factorial(X, k)
@@ -119,12 +122,35 @@ def test_stirling_second_degenerate_values():
     assert _entry(deg, 3, 2).substitute("l", 0) == MPoly.constant(3)
 
 
-def test_degenerate_second_limit_is_classical():
-    deg = stirling_table(StirlingKind.DEGENERATE_SECOND, 8)
-    cls = stirling_table(StirlingKind.SECOND, 8)
-    for n in range(9):
+@pytest.mark.parametrize("n_max", [8, 20])
+def test_degenerate_second_limit_is_classical(n_max):
+    deg = stirling_table(StirlingKind.DEGENERATE_SECOND, n_max)
+    cls = stirling_table(StirlingKind.SECOND, n_max)
+    for n in range(n_max + 1):
         for k in range(n + 1):
             assert deg.entry(n, k).substitute("l", 0) == cls.entry(n, k)
+
+
+# The triangular recurrences T(n+1, k) = T(n, k-1) + w(n, k) T(n, k), T(0, 0) = 1,
+# with the weight w of each kind: -n for the first kind, k for the second and
+# k - n*l for the degenerate second kind.  They share no code with combinat.
+RECURRENCE_WEIGHTS = {
+    StirlingKind.FIRST: lambda n, k: MPoly.constant(-n),
+    StirlingKind.SECOND: lambda n, k: MPoly.constant(k),
+    StirlingKind.DEGENERATE_SECOND: lambda n, k: MPoly.constant(k) - L.scale(n),
+}
+
+
+@pytest.mark.parametrize("kind", list(StirlingKind), ids=lambda kind: kind.value)
+def test_tables_match_their_recurrences(kind):
+    weight, n_max = RECURRENCE_WEIGHTS[kind], 20
+    table = stirling_table(kind, n_max)
+    row = [MPoly.one()]
+    for n in range(n_max + 1):
+        assert [table.entry(n, k) for k in range(n + 1)] == row, n
+        prev = row + [MPoly.zero()]
+        row = [(prev[k - 1] if k else MPoly.zero()) + weight(n, k) * prev[k]
+               for k in range(n + 2)]
 
 
 def test_table_range_checks():
@@ -133,6 +159,11 @@ def test_table_range_checks():
         table.entry(5, 0)
     with pytest.raises(IndexError):
         table.entry(3, 4)
+    # The kind is a StirlingKind, never its string value; n_max is not negative.
+    with pytest.raises(ValueError, match="unknown kind"):
+        StirlingTable.build("first", 4)
+    with pytest.raises(ValueError, match="non-negative"):
+        StirlingTable.build(StirlingKind.FIRST, -1)
 
 
 def test_negative_n_rejected():

@@ -212,7 +212,7 @@ def test_substitute_overflows_exactly_past_the_field(unit):
 
 
 def test_terms_view_keeps_i_as_an_exponent():
-    # Keys are (el, ex, ey, er, ei); coefficient merges the i^0 and i^1 parts.
+    # Keys are (el, ex, ey, er, ei): a complex coefficient shows as two entries.
     p = (X + Y * I).scale(Fraction(1, 2)) + X * L + Y
     assert p.terms == {
         (0, 1, 0, 0, 0): Fraction(1, 2),
@@ -222,9 +222,6 @@ def test_terms_view_keeps_i_as_an_exponent():
     }
     assert all(type(c) is Fraction for c in p.terms.values())
     assert p.terms is not p.terms
-    assert p.coefficient((0, 0, 1, 0)) == 1 + I.scale(Fraction(1, 2))
-    assert p.coefficient((1, 1, 0, 0)) == MPoly.one()
-    assert p.coefficient((0, 0, 0, 1)) == MPoly.zero()
 
 
 def test_i_is_a_ring_element():
