@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Tuple
 
-from .multipoly import MPoly, PolyInput, sum_products
+from .multipoly import MPoly, PolyInput, as_size, sum_products
 
 
 # The three factor steps: u(u-1)(u-2)..., u(u-l)(u-2l)... and u(u+l)(u+2l)....
@@ -32,10 +32,7 @@ def _climb(u: PolyInput, n: int, step: MPoly) -> MPoly:
     """Product of (u + j*step) for j = 0..n-1, extending the cached list of
     lower degrees one factor at a time: the checks' sums ask for the same few
     factorials many times, and a cold high degree never recurses."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError(f"a factorial product needs an int n, got {type(n).__name__}")
-    if n < 0:
-        raise ValueError("a factorial product needs n >= 0")
+    as_size(n, "the degree n of a factorial product")
     rungs = _ladder(u, step)
     for j in range(len(rungs), n + 1):
         rungs.append(rungs[-1] * (rungs[1] + step.scale(j - 1)))
@@ -99,8 +96,7 @@ class StirlingTable:
         before it: c_k = c_{k-1} * base / k, a binomial convolution."""
         if kind not in _BASE:
             raise ValueError(f"unknown kind {kind}")
-        if n_max < 0:
-            raise ValueError("n_max must be non-negative")
+        as_size(n_max, "n_max")
         base = [None] + [_BASE[kind](n) for n in range(1, n_max + 1)]
         rows = [(MPoly.one(),)]
         for n in range(1, n_max + 1):

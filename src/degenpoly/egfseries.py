@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence, Tuple
 
-from .multipoly import MPoly, PolyInput, sum_products
+from .multipoly import MPoly, PolyInput, as_size, sum_products
 
 
 def binom_sum(n: int, term: Callable[[int], Tuple[MPoly, MPoly]]) -> MPoly:
@@ -34,12 +34,7 @@ class EgfSeries:
 
     @classmethod
     def from_function(cls, order: int, fn: Callable[[int], PolyInput]) -> "EgfSeries":
-        return cls([fn(n) for n in range(order + 1)])
-
-    @classmethod
-    def unit(cls, order: int) -> "EgfSeries":
-        """The multiplicative identity (1, 0, 0, ...)."""
-        return cls.from_function(order, lambda n: MPoly.one() if n == 0 else MPoly.zero())
+        return cls([fn(n) for n in range(as_size(order, "order") + 1)])
 
     def __getitem__(self, n: int) -> MPoly:
         """a_n, i.e. n! times the t^n coefficient; a negative n raises, never wraps."""

@@ -26,7 +26,7 @@ from typing import Tuple
 
 from .combinat import StirlingKind, gen_falling_factorial, stirling_table
 from .egfseries import EgfSeries
-from .multipoly import MPoly, PolyInput, sum_products
+from .multipoly import MPoly, PolyInput, as_size, sum_products
 
 
 class FamilyKind(enum.Enum):
@@ -67,8 +67,7 @@ def deg_exp_series(exponent: PolyInput, order: int) -> EgfSeries:
 
     Coefficient n is the generalized falling factorial (exponent)_{n,l}.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    as_size(order, "order")
     exponent = MPoly.coerce(exponent)
     coeffs = [MPoly.one()]
     lam = MPoly.variable("l")

@@ -48,7 +48,7 @@ from .families import (
     family_closed,
     trig_stirling_rows,
 )
-from .multipoly import MPoly, sum_products
+from .multipoly import MPoly, as_size, sum_products
 
 
 class IdentityReport(NamedTuple):
@@ -57,7 +57,6 @@ class IdentityReport(NamedTuple):
     id: IdentityId
     n: int
     verdict: str  # "holds" | "fails" | "holds_variant"
-    lhs_minus_rhs: MPoly = MPoly.zero()  # the first failing residual
     variant_note: str = ""
     failing: Tuple[Tuple[str, MPoly], ...] = ()  # (name, residual) of each unequal equation
 
@@ -66,7 +65,7 @@ class IdentityReport(NamedTuple):
             "id": self.id.value,
             "n": self.n,
             "verdict": self.verdict,
-            "residual": self.lhs_minus_rhs.to_text(),
+            "residual": self.failing[0][1].to_text() if self.failing else "0",
             "citation": CITATIONS[self.id],
         }
         if self.variant_note:
@@ -86,20 +85,16 @@ def _judge(tag: IdentityId, n: int, equations: Sequence[Tuple[str, MPoly, MPoly]
     if readings and len(failing) < len(equations):
         held = ", ".join(name for name, lhs, rhs in equations if lhs == rhs)
         lost = "; ".join(f"{name} residual: {res.to_text()}" for name, res in failing)
-        return IdentityReport(tag, n, "holds_variant", MPoly.zero(),
+        return IdentityReport(tag, n, "holds_variant",
                               f"{readings}; surviving variant: {held}; {lost}")
-    return IdentityReport(tag, n, "fails", failing[0][1], failing=failing)
+    return IdentityReport(tag, n, "fails", failing=failing)
 
 
 class IdentityEngine:
     """Runs exact checks for each identity tag on constructions of degree n_max + 1."""
 
     def __init__(self, n_max: int):
-        if isinstance(n_max, bool) or not isinstance(n_max, int):
-            raise TypeError(f"n_max must be an int, got {type(n_max).__name__}")
-        if n_max < 0:
-            raise ValueError("n_max must be non-negative")
-        self.n_max = n_max
+        self.n_max = as_size(n_max, "n_max")
         self.degree = n_max + 1  # every construction is built to this degree only
         self._x0: Dict[FamilyKind, List[MPoly]] = {}
 

@@ -24,10 +24,12 @@ are ``sum_products`` calls too (a sum pairs each operand with 1).
 polynomial such as ``re + im * MPoly.I``.  Scalars entering the ring
 (``MPoly({exps: c})``, ``constant``, ``scale`` and the bindings of
 ``evaluate``) are ``int`` or ``Fraction``; anything else, bool and float
-included, raises ``TypeError``.  What comes out is plain ``Fraction``s, with
-``i`` kept as an exponent: the ``terms`` view (built on each call) maps
-``(el, ex, ey, er, ei)`` to a ``Fraction``, and ``evaluate`` takes a
-polynomial without ``i`` (``split_real_imag`` first) and returns one.
+included, raises ``TypeError``.  Sizes (degrees, orders, exponents) pass
+``as_size``: a bool or other non-int raises ``TypeError``, a negative int
+``ValueError``.  What comes out is plain ``Fraction``s, with ``i`` kept as an
+exponent: the ``terms`` view (built on each call) maps ``(el, ex, ey, er, ei)``
+to a ``Fraction``, and ``evaluate`` takes a polynomial without ``i``
+(``split_real_imag`` first) and returns one.
 """
 
 from __future__ import annotations
@@ -59,6 +61,16 @@ def as_rat(value: Scalar) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
     return Fraction(value)
+
+
+def as_size(value: int, what: str) -> int:
+    """A degree, order or exponent: an int >= 0.  A bool or any other non-int
+    raises TypeError and a negative int ValueError, each naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"{what} must be non-negative, got {value}")
+    return value
 
 
 def _shift(name: str) -> int:
@@ -156,7 +168,7 @@ class MPoly:
 
     @classmethod
     def constant(cls, value: Scalar) -> "MPoly":
-        return _make({0: value}, 1) if type(value) is int else cls({(0, 0, 0, 0): value})
+        return _ONE.scale(value)
 
     @classmethod
     def variable(cls, name: str) -> "MPoly":
@@ -201,10 +213,7 @@ class MPoly:
         return _make({k: c * p for k, c in self._num.items()}, self._den * value.denominator)
 
     def __pow__(self, n: int) -> "MPoly":
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise TypeError(f"a polynomial power needs an int exponent, got {type(n).__name__}")
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
+        as_size(n, "the int exponent of a polynomial power")
         result, base = _ONE, self
         while n:
             if n & 1:

@@ -159,11 +159,14 @@ def test_table_range_checks():
         table.entry(5, 0)
     with pytest.raises(IndexError):
         table.entry(3, 4)
-    # The kind is a StirlingKind, never its string value; n_max is not negative.
+    # The kind is a StirlingKind, never its string value; n_max is an int, not
+    # negative and not a bool.
     with pytest.raises(ValueError, match="unknown kind"):
         StirlingTable.build("first", 4)
     with pytest.raises(ValueError, match="non-negative"):
         StirlingTable.build(StirlingKind.FIRST, -1)
+    with pytest.raises(TypeError):
+        StirlingTable.build(StirlingKind.FIRST, True)
 
 
 def test_negative_n_rejected():

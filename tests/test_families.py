@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from degenpoly.combinat import StirlingKind, gen_falling_factorial, stirling_table
+from degenpoly.egfseries import EgfSeries
 from degenpoly.families import (
     FamilyKind,
     classical_family,
@@ -169,17 +170,22 @@ def test_family_closed_rejects_kinds_without_trig_factor(kind):
         family_closed(kind, 4)
 
 
-@pytest.mark.parametrize("build", [
-    pytest.param(lambda: deg_exp_series(X, -1), id="deg_exp_series"),
-    pytest.param(lambda: deg_cos_sin_series(-1), id="deg_cos_sin_series"),
-    pytest.param(lambda: family_closed(FamilyKind.DEG_COSINE, -1), id="family_closed"),
-    *(pytest.param(lambda kind=kind: family(kind, -1), id=f"family-{kind.value}")
+@pytest.mark.parametrize("build, error", [
+    pytest.param(lambda: deg_exp_series(X, -1), ValueError, id="deg_exp_series"),
+    pytest.param(lambda: deg_exp_series(X, True), TypeError, id="deg_exp_series-True"),
+    pytest.param(lambda: EgfSeries.from_function(True, lambda n: X), TypeError,
+                 id="from_function-True"),
+    pytest.param(lambda: deg_cos_sin_series(-1), ValueError, id="deg_cos_sin_series"),
+    pytest.param(lambda: family_closed(FamilyKind.DEG_COSINE, -1), ValueError,
+                 id="family_closed"),
+    *(pytest.param(lambda kind=kind: family(kind, -1), ValueError, id=f"family-{kind.value}")
       for kind in FamilyKind),
 ])
-def test_negative_order_rejected(build):
+def test_negative_order_rejected(build, error):
     # deg_exp_series(u, -1) returned an order-0 series, so family(deg-cosine, -1)
-    # returned one coefficient where every kernel kind raised.
-    with pytest.raises(ValueError):
+    # returned one coefficient where every kernel kind raised.  An order of
+    # True is not order 1: a bool raises like any other non-int.
+    with pytest.raises(error):
         build()
 
 
@@ -256,8 +262,10 @@ CACHED_FUNCTIONS = [
                          ids=[fn.__name__ for fn, _ in CACHED_FUNCTIONS])
 def test_warm_cache_does_not_admit_an_equal_float_or_bool(fn, args):
     # 5 == 5.0 and 1 == True are one dict key; a warm call with the float or
-    # bool must do what it does cold: raise, or build its own result.
+    # bool must raise, as it does cold: True is no order 1.
     fn(*args, 5)
+    fn(*args, 1)
     with pytest.raises(TypeError):
         fn(*args, 5.0)
-    assert fn(*args, True) is not fn(*args, 1)
+    with pytest.raises(TypeError):
+        fn(*args, True)

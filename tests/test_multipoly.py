@@ -238,6 +238,8 @@ def test_only_polynomials_equal_polynomials():
     assert MPoly.constant(Fraction(1, 2)) != Fraction(1, 2)
     assert len({MPoly.one(), 1}) == 2
     assert MPoly.constant(Fraction(2, 4)) == MPoly.constant(Fraction(1, 2))
+    # Same numerators over another denominator: equality reads the denominator too.
+    assert X != X.scale(Fraction(1, 2))
 
 
 @pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(2), "2"])
