@@ -18,7 +18,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from .combinat import StirlingKind, stirling_table
 from .families import (
@@ -50,6 +50,17 @@ def _check_size(name: str, value: Optional[int]) -> None:
     if value is not None and not 0 <= value < _LIMIT:
         raise SystemExit(f"error: {name} {value} is out of range: sizes must be "
                          f"non-negative and exponents must stay below {_LIMIT}")
+
+
+# The series each `series --kernel` name prints, as a function of the order.
+_SERIES = {
+    "bernoulli": lambda order: kernel_series("bernoulli", order),
+    "euler": lambda order: kernel_series("euler", order),
+    "cos": lambda order: deg_cos_sin_series(order)[0],
+    "sin": lambda order: deg_cos_sin_series(order)[1],
+    "exp-1": lambda order: deg_exp_series(MPoly.one(), order),
+    "exp-x": lambda order: deg_exp_series(MPoly.variable("x"), order),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,14 +105,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ser = sub.add_parser("series", help="print raw EGF coefficients of a kernel")
     p_ser.set_defaults(run=_cmd_series)
     p_ser.add_argument("--kernel", required=True,
-                       choices=("bernoulli", "euler", "cos", "sin", "exp-1", "exp-x"))
+                       choices=_SERIES)
     p_ser.add_argument("--order", type=int, default=8)
     p_ser.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
 
 
-def _table_rows(args) -> List[dict]:
+def _write_rows(fmt: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write rows as CSV under ``header``, or as tab-separated text lines."""
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        for row in rows:
+            print(*row, sep="\t")
+
+
+def _cmd_table(args) -> int:
     top = args.n if args.n is not None else args.n_max
     seq = family(FamilyKind(args.family), top)
     bindings = {
@@ -109,36 +131,23 @@ def _table_rows(args) -> List[dict]:
         for var in ("l", "x", "y", "r")
         if getattr(args, var) is not None
     }
-    wanted = [top] if args.n is not None else range(top + 1)
     rows = []
-    for n in wanted:
-        poly = seq[n]
+    for n in [top] if args.n is not None else range(top + 1):
         if bindings:
             try:
-                value = str(poly.evaluate(bindings))
+                value = str(seq[n].evaluate(bindings))
             except ValueError as exc:
                 raise SystemExit(f"error: {exc}")
         else:
-            value = poly.to_text()
-        rows.append({"n": n, "value": value})
-    return rows
-
-
-def _cmd_table(args) -> int:
-    rows = _table_rows(args)
+            value = seq[n].to_text()
+        rows.append((n, value))
     if args.format == "json":
-        print(_json_dumps({"family": args.family, "rows": rows}))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["n", "value"])
-        for row in rows:
-            writer.writerow([row["n"], row["value"]])
+        print(_json_dumps({"family": args.family,
+                           "rows": [{"n": n, "value": v} for n, v in rows]}))
+    elif args.format == "text" and args.n is not None:
+        print(rows[0][1])
     else:
-        if args.n is not None:
-            print(rows[0]["value"])
-        else:
-            for row in rows:
-                print(f"{row['n']}\t{row['value']}")
+        _write_rows(args.format, ("n", "value"), rows)
     return 0
 
 
@@ -155,10 +164,7 @@ def _cmd_stirling(args) -> int:
             "entries": [{"n": n, "k": k, "value": v} for n, k, v in entries],
         }))
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["n", "k", "value"])
-        for n, k, v in entries:
-            writer.writerow([n, k, v])
+        _write_rows("csv", ("n", "k", "value"), entries)
     return 0
 
 
@@ -206,25 +212,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    name = args.kernel
-    if name in ("bernoulli", "euler"):
-        series = kernel_series(name, args.order)
-    elif name in ("cos", "sin"):
-        cos, sin = deg_cos_sin_series(args.order)
-        series = cos if name == "cos" else sin
-    elif name == "exp-1":
-        series = deg_exp_series(MPoly.one(), args.order)
-    else:  # exp-x
-        series = deg_exp_series(MPoly.variable("x"), args.order)
+    coefficients = [c.to_text() for c in _SERIES[args.kernel](args.order).polys]
     if args.format == "json":
-        print(_json_dumps({
-            "kernel": name,
-            "order": args.order,
-            "coefficients": [c.to_text() for c in series.polys],
-        }))
+        print(_json_dumps({"kernel": args.kernel, "order": args.order,
+                           "coefficients": coefficients}))
     else:
-        for n, c in enumerate(series.polys):
-            print(f"{n}\t{c.to_text()}")
+        _write_rows("text", (), enumerate(coefficients))
     return 0
 
 
@@ -242,7 +235,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         raise
     except BrokenPipeError:
         return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Tuple
 
-from .multipoly import MPoly, PolyInput, as_size, sum_products
+from .multipoly import MPoly, PolyInput, as_index, as_size, sum_products
 
 
 # The three factor steps: u(u-1)(u-2)..., u(u-l)(u-2l)... and u(u+l)(u+2l)....
@@ -82,12 +82,8 @@ class StirlingTable:
         self._rows = rows
 
     def entry(self, n: int, k: int) -> MPoly:
-        top = len(self._rows) - 1
-        if not 0 <= n <= top:
-            raise IndexError(f"row {n} out of range 0..{top}")
-        if not 0 <= k <= n:
-            raise IndexError(f"column {k} out of range 0..{n} in row {n}")
-        return self._rows[n][k]
+        row = self._rows[as_index(n, len(self._rows) - 1, "row")]
+        return row[as_index(k, n, f"row {n} column")]
 
     @classmethod
     def build(cls, kind: StirlingKind, n_max: int) -> "StirlingTable":

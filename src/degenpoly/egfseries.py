@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence, Tuple
 
-from .multipoly import MPoly, PolyInput, as_size, sum_products
+from .multipoly import MPoly, PolyInput, as_index, as_size, sum_products
 
 
 def binom_sum(n: int, term: Callable[[int], Tuple[MPoly, MPoly]]) -> MPoly:
@@ -38,11 +38,7 @@ class EgfSeries:
 
     def __getitem__(self, n: int) -> MPoly:
         """a_n, i.e. n! times the t^n coefficient; a negative n raises, never wraps."""
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise TypeError(f"a coefficient index is an int, got {type(n).__name__}")
-        if not 0 <= n < len(self.polys):
-            raise IndexError(f"coefficient index {n} out of range 0..{len(self.polys) - 1}")
-        return self.polys[n]
+        return self.polys[as_index(n, len(self.polys) - 1, "coefficient index")]
 
     def __mul__(self, other: "EgfSeries") -> "EgfSeries":
         if not isinstance(other, EgfSeries):

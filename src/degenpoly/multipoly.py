@@ -63,13 +63,25 @@ def as_rat(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
+def _as_int(value: int, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+    return value
+
+
 def as_size(value: int, what: str) -> int:
     """A degree, order or exponent: an int >= 0.  A bool or any other non-int
     raises TypeError and a negative int ValueError, each naming ``what``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
-    if value < 0:
+    if _as_int(value, what) < 0:
         raise ValueError(f"{what} must be non-negative, got {value}")
+    return value
+
+
+def as_index(value: int, top: int, what: str) -> int:
+    """An index into entries 0..top.  A bool or any other non-int raises
+    TypeError and an int outside the range IndexError, each naming ``what``."""
+    if not 0 <= _as_int(value, what) <= top:
+        raise IndexError(f"{what} {value} out of range 0..{top}")
     return value
 
 
@@ -94,7 +106,7 @@ def _unpack(key: int) -> Monomial:
 
 def _wrap(nums: Dict[int, int], den: int) -> "MPoly":
     p = object.__new__(MPoly)
-    p._num, p._den, p._hash = nums, den, None
+    p._num, p._den = nums, den
     return p
 
 
@@ -151,7 +163,7 @@ def sum_products(items: Iterable[Tuple[Scalar, "MPoly", "MPoly"]]) -> "MPoly":
 class MPoly:
     """Immutable sparse polynomial in Q(i)[l, x, y, r]."""
 
-    __slots__ = ("_num", "_den", "_hash")
+    __slots__ = ("_num", "_den")
 
     def __new__(cls, terms: Mapping[Exponents, Scalar] | None = None):
         coeffs = [(_pack(exps), as_rat(c)) for exps, c in (terms or {}).items()]
@@ -295,9 +307,7 @@ class MPoly:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._den, frozenset(self._num.items())))
-        return self._hash
+        return hash((self._den, frozenset(self._num.items())))
 
     def to_text(self) -> str:
         """Canonical text form, e.g. "x^2 - 1/2*l*x - y^2"."""

@@ -159,6 +159,12 @@ def test_table_range_checks():
         table.entry(5, 0)
     with pytest.raises(IndexError):
         table.entry(3, 4)
+    with pytest.raises(IndexError):
+        table.entry(-1, 0)
+    # An index is an int, as in EgfSeries[n]: entry(True, True) is not S1(1, 1).
+    for n, k in ((True, True), (1, True), (1.0, 1), (1, 1.0)):
+        with pytest.raises(TypeError, match="must be an int"):
+            table.entry(n, k)
     # The kind is a StirlingKind, never its string value; n_max is an int, not
     # negative and not a bool.
     with pytest.raises(ValueError, match="unknown kind"):

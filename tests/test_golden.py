@@ -1,7 +1,7 @@
 """Byte-identity gate: every command keyed in perfbench/golden.json must print
 exactly the stdout whose sha256 is recorded there, and so must the larger
-verify run keyed in LARGE, the degree-20 evaluations keyed in EVALUATION and
-the single rows keyed in SINGLE_ROW.
+verify run keyed in LARGE, the degree-20 evaluations keyed in EVALUATION, the
+single rows keyed in SINGLE_ROW and the output formats keyed in FORMATS.
 
 The golden.json digests were recorded from the package's output before any
 optimisation, the others at the commits named beside them; the
@@ -61,7 +61,21 @@ SINGLE_ROW = {
         ("deg-sine", "9658701ddb74dccca394956896e6dd984ccf82a8fcb67e1babeba75f026aa960"),
     ]
 }
-DIGESTS = {**GOLDEN, **LARGE, **EVALUATION, **SINGLE_ROW}
+# Recorded at commit dd1e6ce, before the CLI wrote its rows through one writer;
+# no other digest covers these formats, bindings in text or a variant note.
+FORMATS = {
+    "stirling --kind first --n-max 6 --format json":
+        "cc630b74c255ac874620f66fe2e9eb264443b3de8fa086be8fd4015264e56aaf",
+    "series --kernel cos --order 6 --format json":
+        "64d2b2a61aacc00566f127a307da268f539dcf47f303c3e3bf5ea660500efadd",
+    "table --family deg-sine --n 3 --format csv":
+        "9f88ec8b6bd374f6c89ea26765a7a2b50f69b7d2b46e12e0047f70147853b138",
+    "table --family deg-cos-euler --n-max 4 --l 1/2 --x 3 --y 1/3":
+        "8f2cc61fd7502120854bfc142f1a5d713fb8320b881305c64818d9e6d1c1ff69",
+    "verify --identity T7_stirling_euler_cos --n-max 3 --format text":
+        "4ab2940b0d9d69810ad825f7f58588ee6340c0b597043ee90a1474e858b24a50",
+}
+DIGESTS = {**GOLDEN, **LARGE, **EVALUATION, **SINGLE_ROW, **FORMATS}
 
 
 @pytest.mark.parametrize("command", sorted(DIGESTS))
