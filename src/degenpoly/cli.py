@@ -52,6 +52,11 @@ def _check_size(name: str, value: Optional[int]) -> None:
                          f"non-negative and exponents must stay below {_LIMIT}")
 
 
+# The variables of Q[l, x, y], where every family lives: those `table` binds.
+# Whether a row holds one depends on the row, so `evaluate` finds an unbound one.
+_VARIABLES = ("l", "x", "y")
+
+
 # The series each `series --kernel` name prints, as a function of the order.
 _SERIES = {
     "bernoulli": lambda order: kernel_series("bernoulli", order),
@@ -79,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n", type=int, help="single index to print")
     group.add_argument("--n-max", type=int, help="print rows 0..n_max")
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    for var in ("l", "x", "y", "r"):
+    for var in _VARIABLES:
         p_table.add_argument(f"--{var}", default=None, metavar="RAT",
                              help=f"bind variable {var} for evaluation; write a "
                              f"negative rational as --{var}=-3/7")
@@ -124,13 +129,14 @@ def _write_rows(fmt: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
 
 
 def _cmd_table(args) -> int:
-    top = args.n if args.n is not None else args.n_max
-    seq = family(FamilyKind(args.family), top)
+    # Parsed before the build, so a bad rational exits before any row is built.
     bindings = {
         var: _parse_rat(getattr(args, var))
-        for var in ("l", "x", "y", "r")
+        for var in _VARIABLES
         if getattr(args, var) is not None
     }
+    top = args.n if args.n is not None else args.n_max
+    seq = family(FamilyKind(args.family), top)
     rows = []
     for n in [top] if args.n is not None else range(top + 1):
         if bindings:

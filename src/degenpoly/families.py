@@ -107,6 +107,8 @@ def _product(kind: FamilyKind, order: int, kernel, exp, cos_sin, route) -> EgfSe
     from the given constructors: kernel, then exp(x), then cos/sin.  For a
     kind with a kernel and a trig factor, kernel times exp(x) is the plain
     kernel family, which ``route`` (the caller's own cached builder) returns."""
+    if kind not in _STRUCTURE:
+        raise ValueError(f"unknown family kind {kind!r}; expected a FamilyKind")
     kernel_name, uses_x, trig = _STRUCTURE[kind]
     factors = []
     if kernel_name is not None and trig is not None:
@@ -136,6 +138,8 @@ def trig_stirling_rows(trig: str, order: int) -> Tuple[MPoly, ...]:
     over those j and m = j..n.  The sum over j depends on neither n nor
     ``inner``, so it is grouped by m into these rows: the double sum is
     sum_m binom(n, m) T_m inner[n-m], coefficient n of the rows times ``inner``."""
+    if trig not in ("cos", "sin"):
+        raise ValueError(f"unknown trig {trig!r}; expected 'cos' or 'sin'")
     s1 = stirling_table(StirlingKind.FIRST, order)
     return tuple(
         sum_products(((-1) ** (j // 2), s1.entry(m, j), MPoly({(m - j, 0, j, 0): 1}))
@@ -149,6 +153,8 @@ def family_closed(kind: FamilyKind, order: int) -> EgfSeries:
     """Closed-form route for the six cos/sin families: the theorem double
     sums, the rows of ``trig_stirling_rows`` times (x)_{n,l} or the plain
     kernel family."""
+    if kind not in _STRUCTURE:
+        raise ValueError(f"unknown family kind {kind!r}; expected a FamilyKind")
     kernel, _, trig = _STRUCTURE[kind]
     if trig is None:
         raise ValueError(f"{kind.value} has no closed-form route")

@@ -23,9 +23,10 @@ it, and its order is the report order.  To add an identity, write a check
 method ``_name(self, n, *args)`` that returns its equations at degree n as
 ``(name, lhs, rhs)`` triples, then add a row ``(tag, citation, check, args)``.
 A cos/sin twin is one row with a pair of tags and a pair of citations; its
-check receives ``trig`` ("cos", then "sin") before ``args``.  ``_judge`` alone
-turns equations into a verdict, naming every unequal one.  If the equations
-are alternative readings of one display, list the check in ``_READINGS``.
+check receives ``trig`` ("cos", then "sin") before ``args``.  If the equations
+are alternative readings of one display, end the row with the note that opens
+its ``holds_variant`` reports.  ``_judge`` alone turns equations into a
+verdict, naming every unequal one.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class IdentityReport(NamedTuple):
 def _judge(tag: IdentityId, n: int, equations: Sequence[Tuple[str, MPoly, MPoly]],
            readings: str) -> IdentityReport:
     """The verdict on a check's (name, lhs, rhs) equations; ``readings`` is the
-    ``_READINGS`` note of a check whose equations read one display, else ""."""
+    catalog note of a check whose equations read one display, else ""."""
     failing = tuple((name, lhs - rhs) for name, lhs, rhs in equations if lhs != rhs)
     if not failing:
         return IdentityReport(tag, n, "holds")
@@ -195,7 +196,7 @@ class IdentityEngine:
 
     def _t7(self, n, trig):
         # Theorem 7's two displays disagree on the binomial index (n over l
-        # vs n over k); both are readings (``_READINGS``).  With binom(n, l) the
+        # vs n over k); its catalog row notes both as readings.  With binom(n, l) the
         # sums swap to sum_l binom(n, l) (x)_l sum_{k=l..n} S2_deg(k, l) P_{n-k}.
         kind = _KIND["euler", trig]
         lhs, nums = family(kind, self.degree)[n], self.x0(kind)
@@ -225,8 +226,7 @@ class IdentityEngine:
     def verify(self, tag: IdentityId) -> List[IdentityReport]:
         if tag not in _DISPATCH:
             raise ValueError(f"unknown identity tag {tag!r}")
-        check, args = _DISPATCH[tag]
-        readings = _READINGS.get(check, "")
+        check, args, readings = _DISPATCH[tag]
         return [_judge(tag, n, check(self, n, *args), readings) for n in range(self.n_max + 1)]
 
 
@@ -244,12 +244,9 @@ def summarize(reports: Sequence[IdentityReport]) -> Dict[str, object]:
 
 _E = IdentityEngine
 
-# The checks whose equations are alternative readings of one display, with
-# the note that opens their ``holds_variant`` reports.
-_READINGS = {_E._t7: "inner Euler factor read with the deformation subscript as in the "
-                     "surrounding displays"}
-
 # (tag, citation, check, args) in report order; a twin row holds (cos, sin) pairs.
+# A check whose equations are alternative readings of one display ends its row
+# with the note that opens its ``holds_variant`` reports.
 _CATALOG = [
     ("T1_expand", "Theorem 1: complex-argument Euler expansion over factorial products",
      _E._t1, (1,)),
@@ -298,7 +295,8 @@ _CATALOG = [
     (("T7_stirling_euler_cos", "T7_stirling_euler_sin"),
      ("Theorem 7: cosine-Euler via degenerate second-kind Stirling numbers",
       "Theorem 7: sine-Euler via degenerate second-kind Stirling numbers"),
-     _E._t7, ()),
+     _E._t7, (), "inner Euler factor read with the deformation subscript as in the "
+                 "surrounding displays"),
     (("E63_stirling_bern_cos", "E63_stirling_bern_sin"),
      ("Display (63): cosine-Bernoulli via degenerate second-kind Stirling numbers",
       "Display (63): sine-Bernoulli via degenerate second-kind Stirling numbers"),
@@ -309,15 +307,17 @@ _CATALOG = [
      _E._decomposition, ()),
 ]
 
-# One (tag, citation, check, args) per tag, twins split into cos then sin.
+# One (tag, citation, check, args, readings) per tag, twins split into cos then sin.
 _ROWS = []
-for _tags, _citations, _check, _args in _CATALOG:
+for _tags, _citations, _check, _args, *_note in _CATALOG:
+    _readings = _note[0] if _note else ""
     if isinstance(_tags, str):
-        _ROWS.append((_tags, _citations, _check, _args))
+        _ROWS.append((_tags, _citations, _check, _args, _readings))
     else:
         for _trig, _tag, _citation in zip(("cos", "sin"), _tags, _citations):
-            _ROWS.append((_tag, _citation, _check, (_trig, *_args)))
+            _ROWS.append((_tag, _citation, _check, (_trig, *_args), _readings))
 
 IdentityId = enum.Enum("IdentityId", [(tag.upper(), tag) for tag, *_ in _ROWS])
 CITATIONS: Dict[IdentityId, str] = {IdentityId(tag): citation for tag, citation, *_ in _ROWS}
-_DISPATCH = {IdentityId(tag): (check, args) for tag, _, check, args in _ROWS}
+_DISPATCH = {IdentityId(tag): (check, args, readings)
+             for tag, _, check, args, readings in _ROWS}

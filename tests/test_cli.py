@@ -3,7 +3,8 @@ import json
 import pytest
 
 from degenpoly.cli import main
-from degenpoly.families import family
+from degenpoly.families import FamilyKind, family
+from degenpoly.multipoly import VARIABLES
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +87,50 @@ def test_table_has_no_order_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "--family", "deg-euler", "--n-max", "2", "--order", "5"])
     assert exc.value.code == 2
+
+
+def test_table_has_no_r_option(capsys):
+    # r is only the symbolic shift of the verify checks; no family holds it.
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--family", "deg-cosine", "--n", "2", "--r", "1"])
+    assert exc.value.code == 2
+
+
+def test_table_bad_rational_exits_before_any_build(capsys, monkeypatch):
+    import degenpoly.cli as cli
+
+    def unreachable(kind, order):
+        raise AssertionError("family built before the bindings were parsed")
+
+    monkeypatch.setattr(cli, "family", unreachable)
+    code, out, err = run_cli(
+        capsys, "table", "--family", "deg-cos-euler", "--n-max", "5", "--x", "1/0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "invalid rational" in err
+
+
+def test_table_binds_exactly_the_variables_its_families_hold(capsys):
+    import degenpoly.cli as cli
+
+    held = {VARIABLES[j] for kind in FamilyKind for p in family(kind, 4).polys
+            for mono in p.terms for j in range(len(VARIABLES)) if mono[j]}
+    parser, offered = cli._build_parser(), set()
+    for var in VARIABLES:
+        try:
+            parser.parse_args(["table", "--family", "deg-cosine", "--n", "0", f"--{var}", "1"])
+        except SystemExit:
+            continue
+        offered.add(var)
+    assert offered == held == {"l", "x", "y"}
+
+
+def test_table_row_without_a_variable_needs_no_binding(capsys):
+    # Whether a row holds l depends on the row, so evaluate finds an unbound one.
+    code, out, _ = run_cli(capsys, "table", "--family", "deg-euler-num", "--n", "1", "--x", "3")
+    assert code == 0
+    assert out == "-1/2\n"
 
 
 def test_table_unbound_evaluation_is_error(capsys):

@@ -111,8 +111,13 @@ def test_bernoulli_kernel_coefficients():
 
 
 def test_unknown_kernel_rejected():
-    with pytest.raises(ValueError):
-        kernel_series("gamma", 4)
+    # Each builder names the bad value: "tan" is no trig (odd j alone would
+    # read it as sine), and a family's CLI name is no FamilyKind.
+    cases = [(kernel_series, "gamma"), (trig_stirling_rows, "tan"), (family, "deg-cosine"),
+             (family_closed, "deg-cosine"), (classical_family, "deg-cosine")]
+    for build, bad in cases:
+        with pytest.raises(ValueError, match=repr(bad)):
+            build(bad, 4)
 
 
 def test_classical_bernoulli_numbers_from_oracle():
