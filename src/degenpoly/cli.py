@@ -29,7 +29,7 @@ from .families import (
     kernel_series,
 )
 from .identities import IdentityEngine, IdentityId, summarize
-from .multipoly import _LIMIT, MPoly
+from .multipoly import MPoly, as_size
 
 
 def _json_dumps(obj) -> str:
@@ -44,12 +44,12 @@ def _parse_rat(text: str) -> Fraction:
 
 
 def _check_size(name: str, value: Optional[int]) -> None:
-    # A negative size has no rows.  A polynomial of degree value >= _LIMIT
-    # would overflow its exponent field, and the builds would run a long time
-    # before the overflow showed.
-    if value is not None and not 0 <= value < _LIMIT:
-        raise SystemExit(f"error: {name} {value} is out of range: sizes must be "
-                         f"non-negative and exponents must stay below {_LIMIT}")
+    # multipoly.as_size is the one size rule; its ValueError becomes exit status 2.
+    if value is not None:
+        try:
+            as_size(value, name)
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}") from None
 
 
 # The variables of Q[l, x, y], where every family lives: those `table` binds.
@@ -68,13 +68,24 @@ _SERIES = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reports an unknown option with the subcommand's usage, not the top level's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="degenpoly",
         description="Exact degenerate Bernoulli/Euler polynomial families "
         "and machine-checked identities.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
 
     p_table = sub.add_parser("table", help="print family polynomials")
     p_table.set_defaults(run=_cmd_table)

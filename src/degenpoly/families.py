@@ -76,10 +76,14 @@ def deg_exp_series(exponent: PolyInput, order: int) -> EgfSeries:
     return EgfSeries(coeffs)
 
 
+# i*y, built once, so that deg_cos_sin_series checks its order before any product.
+_IY = MPoly.variable("y") * MPoly.I
+
+
 @lru_cache(maxsize=None, typed=True)
 def deg_cos_sin_series(order: int) -> Tuple[EgfSeries, EgfSeries]:
     """Degenerate cosine and sine series: the real and imaginary parts of e_l^{iy}(t)."""
-    return deg_exp_series(MPoly.variable("y") * MPoly.I, order).split_real_imag()
+    return deg_exp_series(_IY, order).split_real_imag()
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -158,6 +162,7 @@ def family_closed(kind: FamilyKind, order: int) -> EgfSeries:
     kernel, _, trig = _STRUCTURE[kind]
     if trig is None:
         raise ValueError(f"{kind.value} has no closed-form route")
+    as_size(order, "order")  # before the factorials below, built one degree at a time
     if kernel is None:
         inner = EgfSeries([gen_falling_factorial(MPoly.variable("x"), n)
                            for n in range(order + 1)])
@@ -169,8 +174,8 @@ def family_closed(kind: FamilyKind, order: int) -> EgfSeries:
 @lru_cache(maxsize=None, typed=True)
 def complex_series(kernel: str, order: int) -> EgfSeries:
     """The Bernoulli or Euler kernel times the degenerate exponential at x + iy."""
-    arg = MPoly.variable("x") + MPoly.variable("y") * MPoly.I
-    return kernel_series(kernel, order) * deg_exp_series(arg, order)
+    # The kernel comes first, so its size check runs before the sum x + iy.
+    return kernel_series(kernel, order) * deg_exp_series(MPoly.variable("x") + _IY, order)
 
 
 def complex_euler(n: int, order: int) -> MPoly:

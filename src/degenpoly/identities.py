@@ -96,7 +96,8 @@ class IdentityEngine:
 
     def __init__(self, n_max: int):
         self.n_max = as_size(n_max, "n_max")
-        self.degree = n_max + 1  # every construction is built to this degree only
+        # Every construction is built to this degree only.
+        self.degree = as_size(n_max + 1, "the build degree n_max + 1")
         self._x0: Dict[FamilyKind, List[MPoly]] = {}
 
     # -- tables of the engine's own (the families are cached by ``family``) --

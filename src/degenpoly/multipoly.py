@@ -24,12 +24,15 @@ are ``sum_products`` calls too (a sum pairs each operand with 1).
 polynomial such as ``re + im * MPoly.I``.  Scalars entering the ring
 (``MPoly({exps: c})``, ``constant``, ``scale`` and the bindings of
 ``evaluate``) are ``int`` or ``Fraction``; anything else, bool and float
-included, raises ``TypeError``.  Sizes (degrees, orders, exponents) pass
-``as_size``: a bool or other non-int raises ``TypeError``, a negative int
-``ValueError``.  What comes out is plain ``Fraction``s, with ``i`` kept as an
-exponent: the ``terms`` view (built on each call) maps ``(el, ex, ey, er, ei)``
-to a ``Fraction``, and ``evaluate`` takes a polynomial without ``i``
-(``split_real_imag`` first) and returns one.
+included, raises ``TypeError``.  Sizes (degrees, orders, exponents, table
+sizes) pass ``as_size``, the one size rule: a bool or other non-int raises
+``TypeError``, and an int outside 0..2**15-1 ``ValueError``.  A size ends up
+as a degree, so one past the exponent field is rejected before any build,
+even where the result would be a constant (``c ** 2**15``).  What comes out
+is plain ``Fraction``s, with ``i`` kept as an exponent: the ``terms`` view
+(built on each call) maps ``(el, ex, ey, er, ei)`` to a ``Fraction``, and
+``evaluate`` takes a polynomial without ``i`` (``split_real_imag`` first) and
+returns one.
 """
 
 from __future__ import annotations
@@ -70,10 +73,14 @@ def _as_int(value: int, what: str) -> int:
 
 
 def as_size(value: int, what: str) -> int:
-    """A degree, order or exponent: an int >= 0.  A bool or any other non-int
-    raises TypeError and a negative int ValueError, each naming ``what``."""
+    """A degree, order or exponent: an int in 0.._LIMIT-1.  A bool or any other
+    non-int raises TypeError, and a negative int or one of _LIMIT or more
+    ValueError, each naming ``what``."""
     if _as_int(value, what) < 0:
         raise ValueError(f"{what} must be non-negative, got {value}")
+    if value >= _LIMIT:
+        raise ValueError(f"{what} must be below {_LIMIT}, got {value}: "
+                         "a degree that large would overflow its exponent field")
     return value
 
 

@@ -96,6 +96,16 @@ def test_table_has_no_r_option(capsys):
     assert exc.value.code == 2
 
 
+def test_unknown_option_is_reported_by_the_subcommand(capsys):
+    # The subcommand's own usage lists the options it does take.
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--family", "deg-cosine", "--n", "2", "--r", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: degenpoly table" in err and "--family" in err
+    assert "degenpoly table: error: unrecognized arguments: --r 1" in err
+
+
 def test_table_bad_rational_exits_before_any_build(capsys, monkeypatch):
     import degenpoly.cli as cli
 
