@@ -7,7 +7,10 @@ Subcommands:
   series   -- raw coefficients of a named kernel series
 
 Results go to stdout, diagnostics to stderr.  Exit status is 0 only when
-no check failed and no error occurred.  Output is byte-deterministic for a
+no check failed and no error occurred.  Bad input of any kind (a size, a
+rational, a tag, an unbound variable, or a size a builder rejects) raises
+ValueError, and ``main`` reports every ValueError as ``error: ...`` on
+stderr with exit status 2.  Output is byte-deterministic for a
 fixed invocation: term ordering is canonical and JSON keys are sorted.
 """
 
@@ -40,16 +43,7 @@ def _parse_rat(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SystemExit(f"error: invalid rational {text!r}: {exc}")
-
-
-def _check_size(name: str, value: Optional[int]) -> None:
-    # multipoly.as_size is the one size rule; its ValueError becomes exit status 2.
-    if value is not None:
-        try:
-            as_size(value, name)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from None
+        raise ValueError(f"invalid rational {text!r}: {exc}") from None
 
 
 # The variables of Q[l, x, y], where every family lives: those `table` binds.
@@ -150,14 +144,7 @@ def _cmd_table(args) -> int:
     seq = family(FamilyKind(args.family), top)
     rows = []
     for n in [top] if args.n is not None else range(top + 1):
-        if bindings:
-            try:
-                value = str(seq[n].evaluate(bindings))
-            except ValueError as exc:
-                raise SystemExit(f"error: {exc}")
-        else:
-            value = seq[n].to_text()
-        rows.append((n, value))
+        rows.append((n, str(seq[n].evaluate(bindings)) if bindings else seq[n].to_text()))
     if args.format == "json":
         print(_json_dumps({"family": args.family,
                            "rows": [{"n": n, "value": v} for n, v in rows]}))
@@ -186,10 +173,11 @@ def _cmd_stirling(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    order = args.order if args.order is not None else args.n_max + 2
-    _check_size("order", order)
+    # A given --order passed main's size check; the default is checked here.
+    order = (args.order if args.order is not None
+             else as_size(args.n_max + 2, "the default order n_max + 2"))
     if order < args.n_max + 1:
-        raise SystemExit(f"error: order {order} too small: "
+        raise ValueError(f"order {order} too small: "
                          f"need order >= n_max + 1 = {args.n_max + 1}")
     engine = IdentityEngine(args.n_max)
     if args.identity == "all":
@@ -201,9 +189,9 @@ def _cmd_verify(args) -> int:
             try:
                 tag = IdentityId(name)
             except ValueError:
-                raise SystemExit(f"error: unknown identity tag {name!r}") from None
+                raise ValueError(f"unknown identity tag {name!r}") from None
             if tag in tags:
-                raise SystemExit(f"error: repeated identity tag {name!r}")
+                raise ValueError(f"repeated identity tag {name!r}")
             tags.append(tag)
     reports = []
     for tag in tags:
@@ -243,12 +231,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         for name in ("n", "n_max", "order"):
-            _check_size("--" + name.replace("_", "-"), getattr(args, name, None))
+            if getattr(args, name, None) is not None:
+                as_size(getattr(args, name), "--" + name.replace("_", "-"))
         return args.run(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
-        raise
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 0

@@ -91,13 +91,17 @@ def kernel_series(which: str, order: int) -> EgfSeries:
     """The Bernoulli or Euler kernel, t/(e_l(t)-1) or 2/(e_l(t)+1), as a
     series; coefficient n is the degenerate Bernoulli/Euler number.
 
-    Both invert a series read off e = e_l(t), whose coefficient n is (1)_{n,l}.
-    bernoulli: h_n = e[n+1] / (n+1), the series (e_l(t)-1)/t, so that h_0 = 1.
+    Both invert a series read off e = e_l(t) to the same order, whose
+    coefficient n is (1)_{n,l}.
+    bernoulli: h_n = e[n] (1 - n l) / (n+1), the series (e_l(t)-1)/t, so that
+    h_0 = 1; it is (1)_{n+1,l} / (n+1), since (1)_{n+1,l} = (1)_{n,l} (1 - n l).
     euler: g_0 = 1 and g_n = e[n] / 2 for n >= 1, the series (e_l(t)+1)/2.
     """
-    e = deg_exp_series(1, order + 1).polys
+    e = deg_exp_series(1, order).polys
     if which == "bernoulli":
-        h = EgfSeries.from_function(order, lambda n: e[n + 1].scale(Fraction(1, n + 1)))
+        lam = MPoly.variable("l")
+        h = EgfSeries.from_function(
+            order, lambda n: (e[n] * (1 - lam.scale(n))).scale(Fraction(1, n + 1)))
     elif which == "euler":
         h = EgfSeries.from_function(
             order, lambda n: MPoly.one() if n == 0 else e[n].scale(Fraction(1, 2)))

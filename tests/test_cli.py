@@ -152,6 +152,19 @@ def test_table_unbound_evaluation_is_error(capsys):
     assert "unbound" in err
 
 
+def test_any_value_error_is_reported_as_error_with_exit_2(capsys, monkeypatch):
+    import degenpoly.cli as cli
+
+    def rejecting(kind, order):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "family", rejecting)
+    code, out, err = run_cli(capsys, "table", "--family", "deg-cosine", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: boom\n"
+
+
 def test_stirling_csv(capsys):
     code, out, _ = run_cli(capsys, "stirling", "--kind", "first", "--n-max", "3")
     assert code == 0
@@ -269,6 +282,14 @@ def test_verify_order_violation(capsys):
     code, _, err = run_cli(capsys, "verify", "--n-max", "5", "--order", "3")
     assert code == 2
     assert "order" in err
+
+
+def test_verify_default_order_is_named_as_the_default(capsys):
+    # No --order was given, so the message names where 32768 came from.
+    code, out, err = run_cli(capsys, "verify", "--n-max", "32766")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the default order n_max + 2 must be below 32768, got 32768")
 
 
 # Each case has an explicit id, so deleting one never renames the others; the

@@ -82,6 +82,17 @@ def test_builders_reject_a_size_past_the_exponent_field_at_once(no_ring_work, bu
         build(*args, TOO_BIG)
 
 
+@pytest.mark.parametrize("build, args",
+                         [case for case in _cases() if case.id != "IdentityEngine"])
+def test_builders_accept_the_last_size_below_the_bound(no_ring_work, build, args):
+    # Only the engine builds past its argument; every other builder passes its
+    # size gates with 2**15 - 1 and stops at the fixture's first ring work.
+    try:
+        build(*args, TOO_BIG - 1)
+    except AssertionError as exc:
+        assert str(exc) == "ring work before the size check"
+
+
 def test_engine_rejects_the_last_size_because_it_builds_one_degree_higher(no_ring_work):
     # The checks read degree n_max + 1 (T9 reads n + 1), which must fit the field too.
     with pytest.raises(ValueError, match=f"n_max \\+ 1 must be below {TOO_BIG}, got {TOO_BIG}"):
