@@ -22,11 +22,12 @@ The catalog is the list ``_CATALOG`` at the end of the module; ``IdentityId``,
 it, and its order is the report order.  To add an identity, write a check
 method ``_name(self, n, *args)`` that returns its equations at degree n as
 ``(name, lhs, rhs)`` triples, then add a row ``(tag, citation, check, args)``.
-A cos/sin twin is one row with a pair of tags and a pair of citations; its
-check receives ``trig`` ("cos", then "sin") before ``args``.  If the equations
-are alternative readings of one display, end the row with the note that opens
-its ``holds_variant`` reports.  ``_judge`` alone turns equations into a
-verdict, naming every unequal one.
+A cos/sin twin is one row whose tag is a stem and whose citation writes
+``{0}`` for "cosine" or "sine"; it expands to the tags ``<stem>_cos`` and
+``<stem>_sin``, and its check receives ``trig`` ("cos", then "sin") before
+``args``.  If the equations are alternative readings of one display, end the
+row with the note that opens its ``holds_variant`` reports.  ``_judge`` alone
+turns equations into a verdict, naming every unequal one.
 """
 
 from __future__ import annotations
@@ -245,63 +246,39 @@ def summarize(reports: Sequence[IdentityReport]) -> Dict[str, object]:
 
 _E = IdentityEngine
 
-# (tag, citation, check, args) in report order; a twin row holds (cos, sin) pairs.
-# A check whose equations are alternative readings of one display ends its row
+# (tag, citation, check, args) in report order.  A cos/sin twin is one row whose
+# citation writes {0} for "cosine" or "sine"; its tag is the stem of both.  A
+# check whose equations are alternative readings of one display ends its row
 # with the note that opens its ``holds_variant`` reports.
 _CATALOG = [
     ("T1_expand", "Theorem 1: complex-argument Euler expansion over factorial products",
      _E._t1, (1,)),
     ("T1_conj", "Theorem 1: conjugate expansion via ascending factorials", _E._t1, (-1,)),
-    (("T2_cos", "T2_sin"),
-     ("Theorem 2: cosine-polynomial closed form", "Theorem 2: sine-polynomial closed form"),
-     _E._route_pair, ()),
-    (("T3_cos", "T3_sin"),
-     ("Theorem 3: cosine-Euler via cosine-polynomials and Stirling sums",
-      "Theorem 3: sine-Euler via sine-polynomials and Stirling sums"),
+    ("T2", "Theorem 2: {0}-polynomial closed form", _E._route_pair, ()),
+    ("T3", "Theorem 3: {0}-Euler via {0}-polynomials and Stirling sums",
      _E._convolution, ("euler",)),
-    (("T4_cos", "T4_sin"),
-     ("Theorem 4: cosine-polynomial from cosine-Euler polynomials",
-      "Theorem 4: sine-polynomial from sine-Euler polynomials"),
-     _E._t4, ()),
-    (("P5_shift_cos", "P5_shift_sin"),
-     ("Proposition 5: argument shift for cosine-Euler polynomials",
-      "Proposition 5: argument shift for sine-Euler polynomials"),
+    ("T4", "Theorem 4: {0}-polynomial from {0}-Euler polynomials", _E._t4, ()),
+    ("P5_shift", "Proposition 5: argument shift for {0}-Euler polynomials",
      _E._shift, ("euler",)),
-    (("T6_reflect_cos", "T6_reflect_sin"),
-     ("Theorem 6: reflection symmetry for cosine-Euler polynomials",
-      "Theorem 6: reflection symmetry for sine-Euler polynomials"),
+    ("T6_reflect", "Theorem 6: reflection symmetry for {0}-Euler polynomials",
      _E._reflect, ("euler",)),
-    (("TB_closed_cos", "TB_closed_sin"),
-     ("Section 3 theorem: cosine-Bernoulli closed forms",
-      "Section 3 theorem: sine-Bernoulli closed forms"),
+    ("TB_closed", "Section 3 theorem: {0}-Bernoulli closed forms",
      _E._convolution, ("bernoulli",)),
-    (("T8_reflect_cos", "T8_reflect_sin"),
-     ("Theorem 8: reflection symmetry for cosine-Bernoulli polynomials",
-      "Theorem 8: reflection symmetry for sine-Bernoulli polynomials"),
+    ("T8_reflect", "Theorem 8: reflection symmetry for {0}-Bernoulli polynomials",
      _E._reflect, ("bernoulli",)),
-    (("E57_shift_cos", "E58_shift_sin"),
-     ("Display (57): argument shift for cosine-Bernoulli polynomials",
-      "Display (58): argument shift for sine-Bernoulli polynomials"),
-     _E._shift, ("bernoulli",)),
-    (("T9_diff_cos", "T9_diff_sin"),
-     ("Theorem 9: forward difference of cosine-Bernoulli polynomials",
-      "Theorem 9: forward difference of sine-Bernoulli polynomials"),
-     _E._t9, ()),
-    (("C10_cos", "C10_sin"),
-     ("Corollary: cosine-polynomial binomial sum over cosine-Bernoulli",
-      "Corollary: sine-polynomial binomial sum over sine-Bernoulli"),
-     _E._c10, ()),
+    ("E57_shift_cos", "Display (57): argument shift for cosine-Bernoulli polynomials",
+     _E._shift, ("cos", "bernoulli")),
+    ("E58_shift_sin", "Display (58): argument shift for sine-Bernoulli polynomials",
+     _E._shift, ("sin", "bernoulli")),
+    ("T9_diff", "Theorem 9: forward difference of {0}-Bernoulli polynomials", _E._t9, ()),
+    ("C10", "Corollary: {0}-polynomial binomial sum over {0}-Bernoulli", _E._c10, ()),
     ("E61_E62_x0", "Displays (61)/(62): x = 0 specializations over Bernoulli numbers",
      _E._e61_e62, ()),
-    (("T7_stirling_euler_cos", "T7_stirling_euler_sin"),
-     ("Theorem 7: cosine-Euler via degenerate second-kind Stirling numbers",
-      "Theorem 7: sine-Euler via degenerate second-kind Stirling numbers"),
+    ("T7_stirling_euler", "Theorem 7: {0}-Euler via degenerate second-kind Stirling numbers",
      _E._t7, (), "inner Euler factor read with the deformation subscript as in the "
                  "surrounding displays"),
-    (("E63_stirling_bern_cos", "E63_stirling_bern_sin"),
-     ("Display (63): cosine-Bernoulli via degenerate second-kind Stirling numbers",
-      "Display (63): sine-Bernoulli via degenerate second-kind Stirling numbers"),
-     _E._e63, ()),
+    ("E63_stirling_bern",
+     "Display (63): {0}-Bernoulli via degenerate second-kind Stirling numbers", _E._e63, ()),
     ("L0_classical_limits", "Classical limits at l = 0 against independently built kernels",
      _E._l0, ()),
     ("D_decomposition", "Displays (26)/(27) and (51)/(52): real/imaginary decomposition",
@@ -310,13 +287,14 @@ _CATALOG = [
 
 # One (tag, citation, check, args, readings) per tag, twins split into cos then sin.
 _ROWS = []
-for _tags, _citations, _check, _args, *_note in _CATALOG:
+for _tag, _citation, _check, _args, *_note in _CATALOG:
     _readings = _note[0] if _note else ""
-    if isinstance(_tags, str):
-        _ROWS.append((_tags, _citations, _check, _args, _readings))
+    if "{0}" not in _citation:
+        _ROWS.append((_tag, _citation, _check, _args, _readings))
     else:
-        for _trig, _tag, _citation in zip(("cos", "sin"), _tags, _citations):
-            _ROWS.append((_tag, _citation, _check, (_trig, *_args), _readings))
+        for _trig, _word in (("cos", "cosine"), ("sin", "sine")):
+            _ROWS.append((f"{_tag}_{_trig}", _citation.format(_word), _check, (_trig, *_args),
+                          _readings))
 
 IdentityId = enum.Enum("IdentityId", [(tag.upper(), tag) for tag, *_ in _ROWS])
 CITATIONS: Dict[IdentityId, str] = {IdentityId(tag): citation for tag, citation, *_ in _ROWS}

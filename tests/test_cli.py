@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import degenpoly
 from degenpoly.cli import main
 from degenpoly.families import FamilyKind, family
 from degenpoly.multipoly import VARIABLES
@@ -284,7 +289,7 @@ def test_verify_order_violation(capsys):
     assert "order" in err
 
 
-def test_verify_default_order_is_named_as_the_default(capsys):
+def test_verify_default_order_is_named_as_the_default(capsys, no_ring_work):
     # No --order was given, so the message names where 32768 came from.
     code, out, err = run_cli(capsys, "verify", "--n-max", "32766")
     assert code == 2
@@ -302,7 +307,7 @@ def test_verify_default_order_is_named_as_the_default(capsys):
     pytest.param(["stirling", "--kind", "first", "--n-max", "32768"], id="argv4"),
     pytest.param(["series", "--kernel", "euler", "--order", "32768"], id="argv5"),
 ])
-def test_sizes_past_the_exponent_field_fail_fast(capsys, argv):
+def test_sizes_past_the_exponent_field_fail_fast(capsys, no_ring_work, argv):
     # Exponents must stay below 2^15; such a size is rejected before any build.
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -325,18 +330,33 @@ def test_negative_sizes_fail_fast(capsys, argv):
     assert err.startswith("error: ") and "-1" in err
 
 
-def test_verify_reports_do_not_depend_on_the_order(capsys):
+def test_verify_reports_do_not_depend_on_the_order(capsys, monkeypatch):
     # verify builds to degree n_max + 1 whatever the order, so even an order
     # at the exponent limit returns at once; the order is still checked and
-    # echoed in the summary.
+    # echoed in the summary.  Every builder the engine calls raises on a larger
+    # size, so a regression fails here at once instead of starting the build.
+    import degenpoly.identities as identities
+
+    n_max = 6
+
+    def guarded(builder):
+        def build(which, size):
+            if size > n_max + 1:
+                raise AssertionError(f"{builder.__name__} asked for size {size} > n_max + 1")
+            return builder(which, size)
+        return build
+
+    for name in ("family", "family_closed", "classical_family", "complex_series",
+                 "stirling_table", "trig_stirling_rows"):
+        monkeypatch.setattr(identities, name, guarded(getattr(identities, name)))
     outputs = {}
     for order in (7, 40, 32767):
-        code, out, _ = run_cli(capsys, "verify", "--n-max", "6", "--order", str(order))
+        code, out, _ = run_cli(capsys, "verify", "--n-max", str(n_max), "--order", str(order))
         assert code == 0
         *reports, summary = out.splitlines()
         outputs[order] = reports, json.loads(summary)["summary"]
     reports, summary = outputs[7]
-    assert len(reports) == 29 * 7 and summary["order"] == 7
+    assert len(reports) == 29 * (n_max + 1) and summary["order"] == 7
     for order in (40, 32767):
         assert outputs[order] == (reports, {**summary, "order": order})
 
@@ -354,3 +374,21 @@ def test_invalid_rational_binding(capsys):
     )
     assert code == 2
     assert "invalid rational" in err
+
+
+def test_python_m_degenpoly_runs_the_cli():
+    # The module entry point, run in a fresh interpreter on this package.
+    paths = filter(None, (str(Path(degenpoly.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "degenpoly", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    passing = run("verify", "--identity", "T1_conj,T2_cos", "--n-max", "4", "--format", "text")
+    assert passing.returncode == 0
+    assert passing.stdout.splitlines()[-1].startswith("OK:")
+    bad_size = run("verify", "--n-max", "-1")
+    assert (bad_size.returncode, bad_size.stdout) == (2, "")
+    assert bad_size.stderr.startswith("error: ")
+    assert run("table", "--family", "deg-cosine", "--n", "2", "--r", "1").returncode == 2

@@ -3,14 +3,14 @@ field, and every builder calls it before it does any ring work.
 
 Every size a builder takes (an order, a table size, a degree, ``n_max``) ends
 up as a polynomial degree, so a size of 2**15 or more can only overflow.  The
-fixture below makes all ring work raise, so a builder that starts building
-before it checks its size fails at once instead of running until the
-overflow shows.
+``no_ring_work`` fixture of ``conftest.py`` makes all ring work raise, so a
+builder that starts building before it checks its size fails at once instead
+of running until the overflow shows.
 """
 
 import pytest
 
-from degenpoly import combinat, egfseries, families, identities, multipoly
+from degenpoly import families
 from degenpoly.combinat import (
     StirlingKind,
     StirlingTable,
@@ -37,19 +37,6 @@ TOO_BIG = 2 ** 15
 X = MPoly.variable("x")
 TWO = MPoly.constant(2)
 TRIG_KINDS = [kind for kind, (_, _, trig) in families._STRUCTURE.items() if trig]
-
-
-@pytest.fixture
-def no_ring_work(monkeypatch):
-    """Every sum of products, and every polynomial that ``_make`` forms
-    (constants and scalings included), raises AssertionError."""
-
-    def refuse(*args):
-        raise AssertionError("ring work before the size check")
-
-    for module in (multipoly, egfseries, combinat, families, identities):
-        monkeypatch.setattr(module, "sum_products", refuse)
-    monkeypatch.setattr(multipoly, "_make", refuse)
 
 
 def _cases():
