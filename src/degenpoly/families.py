@@ -212,9 +212,13 @@ def classical_kernel_series(which: str, order: int) -> EgfSeries:
 
 
 def classical_exp_series(exponent: PolyInput, order: int) -> EgfSeries:
-    """e^{ut} in the exponential basis: coefficient n is u^n."""
+    """e^{ut} in the exponential basis: coefficient n is u^n, one product past u^(n-1)."""
+    as_size(order, "order")
     exponent = MPoly.coerce(exponent)
-    return EgfSeries.from_function(order, lambda n: exponent ** n)
+    coeffs = [MPoly.one()]
+    for _ in range(order):
+        coeffs.append(coeffs[-1] * exponent)
+    return EgfSeries(coeffs)
 
 
 def classical_cos_sin_series(order: int) -> Tuple[EgfSeries, EgfSeries]:

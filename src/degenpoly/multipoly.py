@@ -7,32 +7,31 @@ gcd of the denominator and all numerators is 1, so the form is canonical and
 equality and hashing compare plain dicts and ints.
 
 Key layout (Kronecker substitution): the exponents of l, x, y and r fill
-16-bit fields from the low end and bit 64 is the exponent of i, so a
-monomial product is one integer addition, with i^2 = -1 reduced inside the
-multiply.  The top bit of each field is a guard: exponents below 2**15 add
-without carrying, so an overflowing product is caught exactly (ValueError).
-Field j of the OR of a set of keys bounds every exponent in field j, so one
-``reduce(or_, keys)`` gives all the bounds: the overflow check is one OR of
-each result's keys before it is canonicalized, and ``evaluate`` sizes its power
-tables from the OR of the polynomial's keys.
+16-bit fields from the low end and bit 64 is the exponent of i (a product of
+two keys with i carries into bit 65, i^2, until ``sum_products`` folds it), so
+a monomial product is one integer addition.  The top bit of each field is a
+guard: exponents below 2**15 add without carrying, so an overflowing product
+is caught exactly (ValueError).  Field j of the OR of a set of keys bounds
+every exponent in field j, so one ``reduce(or_, keys)`` gives all the bounds:
+one OR of each product's keys checks the overflow and finds the keys of i^2,
+and ``evaluate`` sizes its power tables from the OR of the polynomial's keys.
 
-A sum of products ``sum c*a*b`` is one ``sum_products`` call: every term pair
-goes into one dict of numerators, canonicalized once.  ``+``, ``-`` and ``*``
-are ``sum_products`` calls too (a sum pairs each operand with 1).
+A sum of products ``sum c*a*b`` is one ``sum_products`` call, which holds the
+one pair loop: every term pair goes into one dict of numerators, i^2 = -1 is
+folded once, and the dict is canonicalized once.  ``+``, ``-`` and ``*`` are
+``sum_products`` calls too (a sum pairs each operand with 1).  ``COUNTS``
+tallies the work of ``sum_products`` and ``substitute``.
 
 ``i`` is a ring element, ``MPoly.I``: a complex scalar is a degree-0
 polynomial such as ``re + im * MPoly.I``.  Scalars entering the ring
 (``MPoly({exps: c})``, ``constant``, ``scale`` and the bindings of
 ``evaluate``) are ``int`` or ``Fraction``; anything else, bool and float
 included, raises ``TypeError``.  Sizes (degrees, orders, exponents, table
-sizes) pass ``as_size``, the one size rule: a bool or other non-int raises
-``TypeError``, and an int outside 0..2**15-1 ``ValueError``.  A size ends up
-as a degree, so one past the exponent field is rejected before any build,
-even where the result would be a constant (``c ** 2**15``).  What comes out
-is plain ``Fraction``s, with ``i`` kept as an exponent: the ``terms`` view
-(built on each call) maps ``(el, ex, ey, er, ei)`` to a ``Fraction``, and
-``evaluate`` takes a polynomial without ``i`` (``split_real_imag`` first) and
-returns one.
+sizes) pass ``as_size``, the one size rule.  A size ends up as a degree, so
+one past the exponent field is rejected before any build, even where the
+result would be a constant (``c ** 2**15``).  What comes out is plain
+``Fraction``s, with ``i`` kept as an exponent (the ``terms`` view); ``evaluate``
+takes a polynomial without ``i`` (``split_real_imag`` first).
 """
 
 from __future__ import annotations
@@ -111,6 +110,15 @@ def _unpack(key: int) -> Monomial:
             key >> 4 * _W)
 
 
+def _power_table(value: Fraction, top: int) -> list:
+    """value^0..value^top over the one denominator q^top: a^e * q^(top - e), value = a/q."""
+    a, q = value.numerator, value.denominator
+    table = [q ** top]
+    for _ in range(top):
+        table.append(table[-1] // q * a)
+    return table
+
+
 def _wrap(nums: Dict[int, int], den: int) -> "MPoly":
     p = object.__new__(MPoly)
     p._num, p._den = nums, den
@@ -127,21 +135,11 @@ def _make(nums: Dict[int, int], den: int) -> "MPoly":
     return _wrap(nums, den)
 
 
-def _accumulate(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int], m: int) -> None:
-    """Add m times the product of the numerator dicts a and b, both non-empty,
-    into ``out``; the caller, ``sum_products``, skips zero polynomials and
-    checks ``out`` for overflow before ``_make``."""
-    outer, inner = (a, b) if len(a) <= len(b) else (b, a)
-    plain = inner.items()
-    # Partners of an outer term with i: i*i = -1 clears the i bit and flips the sign.
-    turned = ([(k - 2 * _I, -c) if k >= _I else (k, c) for k, c in plain]
-              if max(outer) >= _I else plain)
-    get = out.get
-    for k1, c1 in outer.items():
-        c1 *= m
-        for k2, c2 in turned if k1 >= _I else plain:
-            k = k1 + k2
-            out[k] = get(k, 0) + c1 * c2
+# Work since import, which tests pin from a fresh interpreter: per ``sum_products``
+# call its term pairs (len(a) * len(b) per triple), the keys that cancelled to
+# zero and the largest result; ``substitute`` calls by path.
+COUNTS = dict.fromkeys(("calls", "pairs", "cancelled", "largest", "substitute_zero",
+                        "substitute_sign", "substitute_identity", "substitute_general"), 0)
 
 
 def sum_products(items: Iterable[Tuple[Scalar, "MPoly", "MPoly"]]) -> "MPoly":
@@ -157,14 +155,33 @@ def sum_products(items: Iterable[Tuple[Scalar, "MPoly", "MPoly"]]) -> "MPoly":
             terms.append((c.numerator, a._den * b._den * c.denominator, a._num, b._num))
     den = lcm(*(d for _, d, _, _ in terms))
     out: Dict[int, int] = {}
+    get, pairs = out.get, 0
     for p, d, a, b in terms:
-        _accumulate(out, a, b, p * (den // d))
+        pairs += len(a) * len(b)
+        outer, inner = (a, b.items()) if len(a) <= len(b) else (b, a.items())
+        m = p * (den // d)
+        for k1, c1 in outer.items():
+            c1 *= m
+            for k2, c2 in inner:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
     # Factor exponents lie below 2**15, so field sums never carry into the next
     # field, and a product overflows exactly when its key sets a guard bit.  No
     # key has left ``out`` yet (zero sums included), so one OR sees every product.
-    if reduce(or_, out, 0) & _GUARDS:
+    ors = reduce(or_, out, 0)
+    if ors & _GUARDS:
         raise ValueError(f"exponent overflow: a product has an exponent >= {_LIMIT}")
-    return _make(out, den)
+    # Each factor holds i at most once, so a key's i exponent is 0, 1 or 2, and
+    # i^2 = -1 folds each key of exponent 2 into the same monomial without i.
+    if ors & 2 * _I:
+        for k in [k for k in out if k & 2 * _I]:
+            out[k - 2 * _I] = get(k - 2 * _I, 0) - out.pop(k)
+    result = _make(out, den)
+    COUNTS["calls"] += 1
+    COUNTS["pairs"] += pairs
+    COUNTS["cancelled"] += len(out) - len(result._num)
+    COUNTS["largest"] = max(COUNTS["largest"], len(result._num))
+    return result
 
 
 class MPoly:
@@ -252,24 +269,25 @@ class MPoly:
         replacement = MPoly.coerce(replacement)
         rep, unit = replacement._num, 1 << shift
         if not rep:
+            COUNTS["substitute_zero"] += 1
             field = _FIELD << shift
             return _make({k: c for k, c in self._num.items() if not k & field}, self._den)
         if replacement._den == 1 and len(rep) == 1 and rep.get(unit) in (1, -1):
             if rep[unit] == 1:
+                COUNTS["substitute_identity"] += 1
                 return self
+            COUNTS["substitute_sign"] += 1
             # The low bit of the field is the parity of the exponent.
             return _wrap({k: -c if k & unit else c for k, c in self._num.items()}, self._den)
+        COUNTS["substitute_general"] += 1
         groups: Dict[int, Dict[int, int]] = {}
         for k, c in self._num.items():
             e = k >> shift & _FIELD
             groups.setdefault(e, {})[k - (e << shift)] = c
-        terms, power, done = [], _ONE, 0
-        for e in sorted(groups):
-            for _ in range(e - done):
-                power = power * replacement
-            done = e
-            terms.append((1, _wrap(groups[e], self._den), power))
-        return sum_products(terms)
+        powers = [_ONE]
+        for _ in range(max(groups, default=0)):
+            powers.append(powers[-1] * replacement)
+        return sum_products((1, _wrap(groups[e], self._den), powers[e]) for e in sorted(groups))
 
     def split_real_imag(self) -> Tuple["MPoly", "MPoly"]:
         """Return (p_re, p_im) with p = p_re + i*p_im, both real-coefficient."""
@@ -293,19 +311,14 @@ class MPoly:
             top = ors >> shift & _FIELD
             if top and shift not in values:
                 raise ValueError(f"unbound variable {VARIABLES[shift // _W]!r} in evaluation")
-            if top:
-                a, q = values[shift].numerator, values[shift].denominator
-                # table[e] = a^e * q^(top - e) is value^e over the denominator q^top.
-                table = [q ** top]
-                for _ in range(top):
-                    table.append(table[-1] // q * a)
-                tables.append((shift, table))
-                den *= table[0]
+            # A variable in no key has exponent 0 in each: its table is [1].
+            tables.append(_power_table(values[shift], top) if top else [1])
+            den *= tables[-1][0]
+        tl, tx, ty, tr = tables
         total = 0
         for k, c in nums.items():
-            for shift, table in tables:
-                c *= table[k >> shift & _FIELD]
-            total += c
+            total += (c * tl[k & _FIELD] * tx[k >> _W & _FIELD] * ty[k >> 2 * _W & _FIELD]
+                      * tr[k >> 3 * _W])
         return Fraction(total, den)
 
     def __eq__(self, other: object) -> bool:

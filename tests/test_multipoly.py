@@ -250,25 +250,38 @@ def test_power_needs_an_int_exponent(bad):
 
 
 def test_sum_products_is_the_one_accumulation_kernel(monkeypatch):
-    # +, - and * each run the pair loop through sum_products; no other
-    # function of the module names the pair loop.
+    # +, - and * each run the pair loop through sum_products.
     calls = []
-    original = multipoly._accumulate
+    original = multipoly.sum_products
 
-    def counted(*args):
-        calls.append(args)
-        original(*args)
+    def counted(items):
+        calls.append(items)
+        return original(items)
 
-    monkeypatch.setattr(multipoly, "_accumulate", counted)
+    monkeypatch.setattr(multipoly, "sum_products", counted)
     p, q = X + Y * I, X.scale(Fraction(1, 3)) - L
     for name, op in (("+", operator.add), ("-", operator.sub), ("*", operator.mul)):
         calls.clear()
         op(p, q)
-        assert calls, f"{name} did not run _accumulate"
+        assert calls, f"{name} did not call sum_products"
 
-    # The top-level statements that name _accumulate (its own def names it
-    # without an ast.Name node); an assignment has no name and would show as None.
+
+def test_sum_products_holds_the_only_pair_loop():
+    # A for statement inside another is a pair loop: no other function of the
+    # module may hold one (substitute and evaluate build powers in single loops).
     tree = ast.parse(inspect.getsource(multipoly))
-    users = {getattr(node, "name", None) for node in tree.body
-             if any(isinstance(n, ast.Name) and n.id == "_accumulate" for n in ast.walk(node))}
-    assert users == {"sum_products"}
+    nested = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              if any(isinstance(inner, ast.For) and inner is not outer
+                     for outer in ast.walk(node) if isinstance(outer, ast.For)
+                     for inner in ast.walk(outer))}
+    assert nested == {"sum_products"}
+
+
+def test_i_squared_is_minus_one_across_a_whole_sum():
+    # i*x times i*y lands on the key of x*y, which the other triple also
+    # reaches, in either order; no key of i^2 survives.
+    for items in ([(1, X * I, Y * I), (1, X, Y)], [(1, X, Y), (1, X * I, Y * I)]):
+        p = sum_products(items)
+        assert (p._num, p._den) == ({}, 1)
+    assert (X + Y * I) * (X - Y * I) == X * X + Y * Y
+    assert sum_products([(1, X * I, Y * I), (Fraction(1, 2), I, I)]) == -X * Y - Fraction(1, 2)
