@@ -1,4 +1,4 @@
-"""Factorial-type products and Stirling number tables.
+"""Falling factorials, read off the ring's product ladder, and Stirling tables.
 
 The three Stirling tables are one construction, the column generating
 functions of Carlitz: column k of a table is base(t)^k / k!, with base(t) the
@@ -12,36 +12,18 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
-from .multipoly import MPoly, PolyInput, as_index, as_size, sum_products
+from .multipoly import MPoly, PolyInput, _ladder, as_index, as_size, sum_products
 
 
 # The three factor steps: u(u-1)(u-2)..., u(u-l)(u-2l)... and u(u+l)(u+2l)....
 _MINUS_ONE, _MINUS_L, _PLUS_L = MPoly.constant(-1), -MPoly.variable("l"), MPoly.variable("l")
 
 
-@lru_cache(maxsize=None, typed=True)
-def _ladder(u: PolyInput, step: MPoly) -> List[MPoly]:
-    """The products of degree 0 and 1, [1, u]; ``_climb`` appends the higher
-    ones.  A float or bool u raises here, so it never gets an entry."""
-    return [MPoly.one(), MPoly.coerce(u)]
-
-
-def _climb(u: PolyInput, n: int, step: MPoly) -> MPoly:
-    """Product of (u + j*step) for j = 0..n-1, extending the cached list of
-    lower degrees one factor at a time: the checks' sums ask for the same few
-    factorials many times, and a cold high degree never recurses."""
-    as_size(n, "the degree n of a factorial product")
-    rungs = _ladder(u, step)
-    for j in range(len(rungs), n + 1):
-        rungs.append(rungs[-1] * (rungs[1] + step.scale(j - 1)))
-    return rungs[n]
-
-
 def falling_factorial(u: PolyInput, n: int) -> MPoly:
     """u (u-1) ... (u-n+1); the empty product 1 for n = 0."""
-    return _climb(u, n, _MINUS_ONE)
+    return _ladder(u, n, _MINUS_ONE)
 
 
 def gen_falling_factorial(u: PolyInput, n: int, step: int = -1) -> MPoly:
@@ -54,7 +36,7 @@ def gen_falling_factorial(u: PolyInput, n: int, step: int = -1) -> MPoly:
         raise TypeError(f"step must be an int, got {type(step).__name__}")
     if step not in (-1, 1):
         raise ValueError("step must be -1 or +1")
-    return _climb(u, n, _PLUS_L if step == 1 else _MINUS_L)
+    return _ladder(u, n, _PLUS_L if step == 1 else _MINUS_L)
 
 
 class StirlingKind(enum.Enum):

@@ -7,7 +7,8 @@ those closed-form double sums (``family_closed``).  The identity engine
 compares the two routes; they must agree as exact polynomials.
 Each factor of ``family`` is read off e_l(t): the kernels invert series of its
 coefficients, and the cosine and sine are the real and imaginary parts of
-e_l^{iy}(t) (of e^{iyt} in the oracle), so ``family`` runs no ``combinat`` code.
+e_l^{iy}(t) (of e^{iyt} in the oracle), so ``family`` runs no ``combinat`` code
+and never climbs ``multipoly._ladder``, which builds the factorials and the oracle's powers.
 
 The classical (l = 0) counterparts are built from scratch by the same
 kernel-inversion machinery with plain exponentials, and serve as the
@@ -26,7 +27,7 @@ from typing import Tuple
 
 from .combinat import StirlingKind, gen_falling_factorial, stirling_table
 from .egfseries import EgfSeries
-from .multipoly import MPoly, PolyInput, as_size, sum_products
+from .multipoly import MPoly, PolyInput, _ladder, as_size, sum_products
 
 
 class FamilyKind(enum.Enum):
@@ -65,7 +66,9 @@ _KIND = {(kernel, trig): kind for kind, (kernel, uses_x, trig) in _STRUCTURE.ite
 def deg_exp_series(exponent: PolyInput, order: int) -> EgfSeries:
     """Series of the degenerate exponential with the given exponent.
 
-    Coefficient n is the generalized falling factorial (exponent)_{n,l}.
+    Coefficient n is the generalized falling factorial (exponent)_{n,l}, built by
+    its own running product: the closed forms read (u)_{n,l} off the ring's
+    ladder, and the two routes must not share the code that builds it.
     """
     as_size(order, "order")
     exponent = MPoly.coerce(exponent)
@@ -76,7 +79,7 @@ def deg_exp_series(exponent: PolyInput, order: int) -> EgfSeries:
     return EgfSeries(coeffs)
 
 
-# i*y, built once, so that deg_cos_sin_series checks its order before any product.
+# i*y, built once, so that both cos/sin series check their order before any product.
 _IY = MPoly.variable("y") * MPoly.I
 
 
@@ -212,18 +215,13 @@ def classical_kernel_series(which: str, order: int) -> EgfSeries:
 
 
 def classical_exp_series(exponent: PolyInput, order: int) -> EgfSeries:
-    """e^{ut} in the exponential basis: coefficient n is u^n, one product past u^(n-1)."""
-    as_size(order, "order")
-    exponent = MPoly.coerce(exponent)
-    coeffs = [MPoly.one()]
-    for _ in range(order):
-        coeffs.append(coeffs[-1] * exponent)
-    return EgfSeries(coeffs)
+    """e^{ut} in the exponential basis: coefficient n is u^n, read off the ring's ladder."""
+    return EgfSeries.from_function(order, lambda n: _ladder(exponent, n, MPoly.zero()))
 
 
 def classical_cos_sin_series(order: int) -> Tuple[EgfSeries, EgfSeries]:
     """cos(yt) and sin(yt): the real and imaginary parts of e^{iyt}."""
-    return classical_exp_series(MPoly.variable("y") * MPoly.I, order).split_real_imag()
+    return classical_exp_series(_IY, order).split_real_imag()
 
 
 @lru_cache(maxsize=None, typed=True)

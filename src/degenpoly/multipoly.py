@@ -20,7 +20,8 @@ A sum of products ``sum c*a*b`` is one ``sum_products`` call, which holds the
 one pair loop: every term pair goes into one dict of numerators, i^2 = -1 is
 folded once, and the dict is canonicalized once.  ``+``, ``-`` and ``*`` are
 ``sum_products`` calls too (a sum pairs each operand with 1).  ``COUNTS``
-tallies the work of ``sum_products`` and ``substitute``.
+tallies the work of ``sum_products`` and ``substitute``.  ``_ladder`` caches each
+product chain (u + 0*step)...(u + (n-1)*step): powers and falling factorials.
 
 ``i`` is a ring element, ``MPoly.I``: a complex scalar is a degree-0
 polynomial such as ``re + im * MPoly.I``.  Scalars entering the ring
@@ -37,7 +38,7 @@ takes a polynomial without ``i`` (``split_real_imag`` first).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import or_
 from typing import Dict, Iterable, Mapping, Tuple, Union
@@ -184,6 +185,24 @@ def sum_products(items: Iterable[Tuple[Scalar, "MPoly", "MPoly"]]) -> "MPoly":
     return result
 
 
+@lru_cache(maxsize=None, typed=True)
+def _rungs(u: PolyInput, step: "MPoly") -> list:
+    """The products of degree 0 and 1, [1, u]; ``_ladder`` appends the higher
+    ones.  A float or bool u raises here, so it never gets an entry."""
+    return [_ONE, MPoly.coerce(u)]
+
+
+def _ladder(u: PolyInput, n: int, step: "MPoly") -> "MPoly":
+    """Product of (u + j*step) for j = 0..n-1: u^n for step 0, (u)_n for step -1,
+    (u)_{n,l} for step -l.  The cached list grows one factor at a time, so a cold
+    high degree never recurses and a product that raises leaves no rung behind."""
+    as_size(n, "the degree n of a product ladder")
+    rungs = _rungs(u, step)
+    for j in range(len(rungs), n + 1):
+        rungs.append(rungs[-1] * (rungs[1] + step.scale(j - 1) if step else rungs[1]))
+    return rungs[n]
+
+
 class MPoly:
     """Immutable sparse polynomial in Q(i)[l, x, y, r]."""
 
@@ -284,10 +303,8 @@ class MPoly:
         for k, c in self._num.items():
             e = k >> shift & _FIELD
             groups.setdefault(e, {})[k - (e << shift)] = c
-        powers = [_ONE]
-        for _ in range(max(groups, default=0)):
-            powers.append(powers[-1] * replacement)
-        return sum_products((1, _wrap(groups[e], self._den), powers[e]) for e in sorted(groups))
+        return sum_products((1, _wrap(groups[e], self._den), _ladder(replacement, e, _ZERO))
+                            for e in sorted(groups))
 
     def split_real_imag(self) -> Tuple["MPoly", "MPoly"]:
         """Return (p_re, p_im) with p = p_re + i*p_im, both real-coefficient."""

@@ -5,7 +5,7 @@ from functools import reduce
 
 import pytest
 
-from degenpoly import combinat, families
+from degenpoly import combinat, families, multipoly
 from degenpoly.families import FamilyKind, family
 from degenpoly.identities import CITATIONS, IdentityEngine, IdentityId, summarize
 from degenpoly.multipoly import MPoly
@@ -263,29 +263,29 @@ def test_engine_builds_nothing_past_degree_n_max_plus_one(monkeypatch):
 
 
 def _clear_package_caches():
-    for module in (combinat, families):
+    for module in (multipoly, combinat, families):
         for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
 
 
 def test_factorial_ladder_defect_fails_the_checks_that_read_it(monkeypatch):
-    # T4 and C10 read (1)_{n,l} from combinat's factorial ladder on their
+    # T4 and C10 read (1)_{n,l} from the ring's ladder, through combinat, on their
     # right-hand sides.  The kernels are read off e_l(t), so a defect in the
     # ladder cannot cancel out of these checks, and the checks that read only
     # the generating-function families still hold.
     lv = MPoly.variable("l")
-    climb = combinat._climb
+    ladder = combinat._ladder
 
     def defective(u, n, step):
         if not (u == 1 and step == -lv):
-            return climb(u, n, step)
+            return ladder(u, n, step)
         # The third factor 1 - 2l gains l^2; computed afresh, never cached.
         factors = (MPoly.one() - lv.scale(j) + (lv * lv if j == 2 else 0) for j in range(n))
         return reduce(operator.mul, factors, MPoly.one())
 
     _clear_package_caches()
-    monkeypatch.setattr(combinat, "_climb", defective)
+    monkeypatch.setattr(combinat, "_ladder", defective)
     try:
         reports, _ = _verify_all(IdentityEngine(8))
     finally:

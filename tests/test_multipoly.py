@@ -211,6 +211,20 @@ def test_substitute_overflows_exactly_past_the_field(unit):
         sum_products([(1, X, X), (0, X ** (2 ** 14) * unit, X ** (2 ** 14))])
 
 
+@pytest.mark.parametrize("unit", [MPoly.one(), I], ids=["real", "i"])
+def test_substitute_ladder_survives_a_failed_climb(unit):
+    # The reverse order of the test above, on a base no other test climbs so
+    # high: the overflowing climb raises at its last rung and caches no rung it
+    # did not finish, so it raises again, and the in-range substitution that
+    # follows reads a sound ladder.
+    square = Y * Y * unit
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overflow"):
+            (Y ** (2 ** 14) * unit).substitute("y", square)
+    image = (Y ** (2 ** 14 - 1) * unit).substitute("y", square)
+    assert max(e[2] for e in image.terms) == 2 ** 15 - 2
+
+
 def test_terms_view_keeps_i_as_an_exponent():
     # Keys are (el, ex, ey, er, ei): a complex coefficient shows as two entries.
     p = (X + Y * I).scale(Fraction(1, 2)) + X * L + Y

@@ -7,15 +7,16 @@ and records every ``degenpoly`` function that runs, with the kinds of the
 ``family`` calls it runs under.  The routes may share only the code named in
 ``SHARED``; everything else a route runs must be its own.  The
 generating-function route reads its kernels off e_l(t) and runs no
-``combinat`` code at all; the closed forms and the engine's Stirling sums
-read combinat's factorials and tables.
+``combinat`` code at all, nor the ring's product ladder, which builds
+combinat's factorials and the oracle's powers; the closed forms and the
+engine's Stirling sums read combinat's factorials and tables.
 """
 
 import sys
 
 import pytest
 
-from degenpoly import combinat, families
+from degenpoly import combinat, families, multipoly
 from degenpoly.families import FamilyKind, classical_family, family, family_closed
 from degenpoly.identities import IdentityEngine
 
@@ -29,6 +30,9 @@ SHARED = {("degenpoly.families", "_product")}
 # The generating-function constructors.
 GF_CONSTRUCTORS = {"family", "kernel_series", "deg_exp_series", "deg_cos_sin_series"}
 
+# The ring's cached product ladder: its climb and its cached list of rungs.
+LADDER = {"_ladder", "_rungs"}
+
 TRIG_KINDS = [kind for kind, (_, _, trig) in families._STRUCTURE.items() if trig]
 
 
@@ -37,7 +41,7 @@ def _record(build):
     ``build()``, where kinds is the set of kinds of the ``family`` frames on
     the stack at that call, its own included.  Lambdas and comprehensions are
     left out: they run inside a function that is recorded."""
-    for module in (combinat, families):
+    for module in (multipoly, combinat, families):
         for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
@@ -74,11 +78,14 @@ def _own(calls, allowed):
 def test_generating_function_route_runs_only_its_own_constructors():
     # The kernels are read off e_l(t), so no combinat function runs: the
     # checks that read combinat's factorials (T4, C10) compare two builds.
+    # The ladder that builds those factorials sits in the shared ring, so it
+    # is named here: the route builds e_l(t) with its own running product.
     calls = _record(lambda: [family(kind, 6) for kind in FamilyKind])
     assert {f for m, f, _ in calls if m == "degenpoly.families"} >= GF_CONSTRUCTORS
     route = {("degenpoly.families", name) for name in GF_CONSTRUCTORS}
     assert _own(calls, lambda m, f: (m, f) in route) == set()
     assert not {(m, f) for m, f, _ in calls if m == "degenpoly.combinat"}
+    assert not {f for m, f, _ in calls if m == "degenpoly.multipoly"} & LADDER
 
 
 def test_classical_route_calls_no_generating_function_constructor():

@@ -21,7 +21,10 @@ from degenpoly.combinat import (
 from degenpoly.egfseries import EgfSeries
 from degenpoly.families import (
     FamilyKind,
+    classical_cos_sin_series,
+    classical_exp_series,
     classical_family,
+    classical_kernel_series,
     complex_series,
     deg_cos_sin_series,
     deg_exp_series,
@@ -48,8 +51,12 @@ def _cases():
     for which in ("bernoulli", "euler"):
         yield pytest.param(kernel_series, (which,), id=f"kernel_series-{which}")
         yield pytest.param(complex_series, (which,), id=f"complex_series-{which}")
+        yield pytest.param(classical_kernel_series, (which,),
+                           id=f"classical_kernel_series-{which}")
     yield pytest.param(deg_cos_sin_series, (), id="deg_cos_sin_series")
     yield pytest.param(deg_exp_series, (X,), id="deg_exp_series")
+    yield pytest.param(classical_cos_sin_series, (), id="classical_cos_sin_series")
+    yield pytest.param(classical_exp_series, (X,), id="classical_exp_series")
     for trig in ("cos", "sin"):
         yield pytest.param(trig_stirling_rows, (trig,), id=f"trig_stirling_rows-{trig}")
     for kind in StirlingKind:
